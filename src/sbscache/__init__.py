@@ -1,6 +1,6 @@
 """Cache placement for small-cell networks via conflict-graph coloring."""
 
-from .classify import ClassWeights, ConvergenceError, classify_and_weigh, class_graph_input
+from .classify import ClassWeights, ConvergenceError, classify_and_weigh
 from .coloring import (
     CapacityError,
     Coloring,
@@ -15,31 +15,23 @@ from .coloring import (
 )
 from .geometry import (
     MarkedPointSet,
-    Point,
     PointSet,
     distance_matrix,
     matern_type_i,
     matern_type_ii,
     sample_binomial_disk,
-    sample_ppp_disk,
 )
 from .netgraph import (
-    AccessMap,
     CoverageRanges,
-    DeliveryMap,
-    PlacementMap,
     SimpleGraph,
-    WeightedGraph,
-    build_access_map,
     build_class_graph,
-    build_delivery_map,
     build_sbs_weighted_graph,
     individual_thresholds,
     threshold_graph,
     universal_threshold,
 )
-from .placement import place_by_coloring, place_most_popular
-from .popularity import Catalog, sample_request, top_mass, zipf_pmf
+from .placement import Placement, place_by_coloring, place_most_popular, placement_matrix
+from .popularity import Catalog, top_mass, zipf_pmf
 from .sim import (
     ReplicationError,
     ScenarioConfig,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import VertexWeights
 from .geometry import MarkedPointSet, PointSet, distance_matrix, matern_type_i, matern_type_ii
 
 SURVIVOR_COUNTINGS = ("double", "single")
@@ -109,11 +108,6 @@ def classify_and_weigh(
         if np.all(weights > 0):
             return ClassWeights(classes, weights, iteration)
     raise ConvergenceError(np.flatnonzero(weights == 0))
-
-
-def class_graph_input(cw: ClassWeights) -> tuple[tuple[frozenset[int], ...], VertexWeights]:
-    """Adapt ClassWeights for the class-graph builder and weight-priority coloring."""
-    return cw.classes, VertexWeights(cw.weights)
 
 
 def classweights_to_csv(cw: ClassWeights) -> str:

@@ -14,53 +14,20 @@ import sys
 from . import sim
 from .classify import classify_and_weigh, classweights_to_csv
 from .coloring import coloring_to_csv
-from .netgraph import graph_to_edge_list, placement_to_csv
-from .sim import ScenarioConfig
+from .netgraph import graph_to_edge_list
+from .placement import placement_to_csv
+from .sim import ScenarioConfig, format_number
 
 RUN_CSV_HEADER = (
     "policy,mean_hit_rate,std_hit_rate,mean_mbs_load,mean_colors_used,replications,master_seed"
 )
 
-_INT_KEYS = (
-    "n_sbs",
-    "n_users",
-    "file_count",
-    "memory",
-    "n_rounds",
-    "requests_per_round",
-    "replications",
-    "master_seed",
-    "exact_solver_limit",
-    "max_matern_iterations",
-)
-_FLOAT_KEYS = ("cell_radius", "sbs_range", "sbs_range_min", "sbs_range_max", "alpha", "r_class")
-_STR_KEYS = ("policy", "threshold_mode", "coloring_mode", "survivor_counting")
-
-# Config file key order; also the canonical serialization order.
-CONFIG_KEYS = (
-    "cell_radius",
-    "n_sbs",
-    "sbs_range",
-    "sbs_range_min",
-    "sbs_range_max",
-    "n_users",
-    "file_count",
-    "memory",
-    "alpha",
-    "n_rounds",
-    "requests_per_round",
-    "policy",
-    "threshold_mode",
-    "coloring_mode",
-    "r_class",
-    "replications",
-    "master_seed",
-    "exact_solver_limit",
-    "max_matern_iterations",
-    "survivor_counting",
-)
-
-_POLICY_ALIASES = {"threshold": "threshold_coloring", "matern": "matern_coloring"}
+# Config file keys in canonical serialization order, and the sweep tokens
+# that pin no threshold mode, which are also accepted as ``policy =`` values.
+CONFIG_KEYS = tuple(sim.CONFIG_FIELDS)
+_POLICY_ALIASES = {
+    token: policy for token, (policy, mode, _) in sim.POLICY_TOKENS.items() if mode is None
+}
 
 RECIPES = {
     # axis, values, policy tokens, config presets
@@ -82,19 +49,13 @@ class ConfigError(ValueError):
 
 def _cast(key: str, raw: str, where: str):
     raw = raw.strip()
+    if key == "policy":
+        return _POLICY_ALIASES.get(raw, raw)
+    kind, _ = sim.CONFIG_FIELDS[key]
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _STR_KEYS:
-            value = raw
-            if key == "policy":
-                value = _POLICY_ALIASES.get(value, value)
-            return value
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"{where}: invalid value {raw!r} for key '{key}'") from None
-    raise ConfigError(f"{where}: unknown key '{key}'")
 
 
 def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> ScenarioConfig:
@@ -152,18 +113,14 @@ def config_to_text(cfg: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt(x) -> str:
-    return str(float(x))
-
-
 def run_result_csv(cfg: ScenarioConfig, result: sim.SimResult) -> str:
     row = ",".join(
         (
             cfg.policy,
-            _fmt(result.mean_hit_rate),
-            _fmt(result.std_hit_rate),
-            _fmt(result.mbs_load),
-            _fmt(result.mean_colors_used),
+            format_number(result.mean_hit_rate),
+            format_number(result.std_hit_rate),
+            format_number(result.mbs_load),
+            format_number(result.mean_colors_used),
             str(cfg.replications),
             str(cfg.master_seed),
         )

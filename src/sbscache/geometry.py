@@ -6,21 +6,14 @@ through explicit seeds, so any sample is bit-reproducible.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, TextIO
 
 import numpy as np
 
 # Anything accepted by numpy's default_rng: an int seed, a SeedSequence,
 # or an already-constructed Generator (used as-is).
 RngSeed = int | np.random.SeedSequence | np.random.Generator
-
-
-class Point(NamedTuple):
-    x: float
-    y: float
 
 
 @dataclass
@@ -46,15 +39,6 @@ class PointSet:
 
     def __len__(self) -> int:
         return self.xy.shape[0]
-
-    @property
-    def points(self) -> list[Point]:
-        return [Point(float(x), float(y)) for x, y in self.xy]
-
-    @classmethod
-    def from_points(cls, points, region_radius: float) -> "PointSet":
-        xy = np.array([(p[0], p[1]) for p in points], dtype=float).reshape(-1, 2)
-        return cls(xy, region_radius)
 
 
 @dataclass
@@ -84,21 +68,6 @@ def sample_binomial_disk(n: int, region_radius: float, seed: RngSeed) -> PointSe
     if not region_radius > 0:
         raise ValueError("region_radius must be positive")
     rng = np.random.default_rng(seed)
-    return _fill_disk(rng, n, region_radius)
-
-
-def sample_ppp_disk(intensity: float, region_radius: float, seed: RngSeed) -> PointSet:
-    """Homogeneous Poisson sample on the disk: Poisson count, uniform positions."""
-    if intensity < 0:
-        raise ValueError("intensity must be non-negative")
-    if not region_radius > 0:
-        raise ValueError("region_radius must be positive")
-    rng = np.random.default_rng(seed)
-    n = int(rng.poisson(intensity * math.pi * region_radius**2))
-    return _fill_disk(rng, n, region_radius)
-
-
-def _fill_disk(rng: np.random.Generator, n: int, region_radius: float) -> PointSet:
     r = region_radius * np.sqrt(rng.random(n))
     theta = rng.uniform(0.0, 2.0 * math.pi, n)
     xy = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
@@ -146,41 +115,3 @@ def matern_type_ii(marked: MarkedPointSet, hard_distance: float) -> np.ndarray:
     np.fill_diagonal(d, np.inf)
     neighbor_marks = np.where(d <= hard_distance, marked.marks[None, :], np.inf)
     return np.flatnonzero(marked.marks < neighbor_marks.min(axis=1))
-
-
-def write_points_csv(pts: PointSet, out: TextIO, marks: np.ndarray | None = None) -> None:
-    """CSV with header ``id,x,y`` and an optional trailing ``mark`` column."""
-    if marks is not None and len(marks) != len(pts):
-        raise ValueError("marks length must equal point count")
-    out.write("id,x,y,mark\n" if marks is not None else "id,x,y\n")
-    for i, (x, y) in enumerate(pts.xy):
-        row = f"{i},{float(x)!r},{float(y)!r}"
-        if marks is not None:
-            row += f",{float(marks[i])!r}"
-        out.write(row + "\n")
-
-
-def points_to_csv(pts: PointSet, marks: np.ndarray | None = None) -> str:
-    buf = io.StringIO()
-    write_points_csv(pts, buf, marks)
-    return buf.getvalue()
-
-
-def read_points_csv(source: str | TextIO, region_radius: float):
-    """Inverse of write_points_csv; returns (PointSet, marks-or-None)."""
-    text = source if isinstance(source, str) else source.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty points CSV")
-    header = lines[0].split(",")
-    if header[:3] != ["id", "x", "y"]:
-        raise ValueError("expected header id,x,y")
-    with_marks = len(header) == 4 and header[3] == "mark"
-    xy, marks = [], []
-    for ln in lines[1:]:
-        fields = ln.split(",")
-        xy.append((float(fields[1]), float(fields[2])))
-        if with_marks:
-            marks.append(float(fields[3]))
-    pts = PointSet(np.array(xy, dtype=float).reshape(-1, 2), region_radius)
-    return pts, (np.asarray(marks) if with_marks else None)

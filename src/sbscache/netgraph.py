@@ -1,39 +1,17 @@
 """The network's graph structures in adjacency form.
 
-Four views of one network: an SBS-to-SBS weighted graph (edge weight =
-distance), its thresholded conflict graph, the user-to-SBS access map, and
-the per-SBS placement map whose composition with access gives the per-user
-delivery map.
+The SBS-to-SBS distances, the conflict graph they give under a threshold,
+the proximity-class graph, and the user-to-SBS access matrix.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .geometry import PointSet, distance_matrix
-
-
-@dataclass
-class WeightedGraph:
-    """Symmetric non-negative edge weights (meters) with a zero diagonal."""
-
-    n: int
-    w: np.ndarray
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=float)
-        if self.w.shape != (self.n, self.n):
-            raise ValueError("weight matrix must be n x n")
-        if self.n and not np.array_equal(self.w, self.w.T):
-            raise ValueError("weight matrix must be symmetric")
-        if self.n and np.any(np.diag(self.w) != 0.0):
-            raise ValueError("diagonal must be zero")
-        if self.n and np.any(self.w < 0.0):
-            raise ValueError("weights must be non-negative")
 
 
 @dataclass
@@ -59,18 +37,6 @@ class SimpleGraph:
         iu, ju = np.nonzero(np.triu(self.adjacency, k=1))
         return list(zip(iu.tolist(), ju.tolist()))
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[v])
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
-        adj = np.zeros((n, n), dtype=bool)
-        for i, j in edges:
-            if i == j:
-                raise ValueError("self-loops are not allowed")
-            adj[i, j] = adj[j, i] = True
-        return cls(n, adj)
-
 
 @dataclass
 class CoverageRanges:
@@ -87,50 +53,9 @@ class CoverageRanges:
         return self.ranges.shape[0]
 
 
-@dataclass
-class AccessMap:
-    """For each user, the set of SBS indices whose coverage reaches them."""
-
-    sets: tuple[frozenset[int], ...]
-    n_sbs: int
-
-    def __post_init__(self):
-        for s in self.sets:
-            if any(not 0 <= j < self.n_sbs for j in s):
-                raise ValueError("SBS index out of range in access set")
-
-
-@dataclass
-class PlacementMap:
-    """For each SBS, the set of cached file ranks; at most ``memory_capacity`` each."""
-
-    caches: tuple[frozenset[int], ...]
-    memory_capacity: int
-
-    def __post_init__(self):
-        if self.memory_capacity < 0:
-            raise ValueError("memory_capacity must be non-negative")
-        for s in self.caches:
-            if len(s) > self.memory_capacity:
-                raise ValueError("cache exceeds memory capacity")
-            if any(r < 1 for r in s):
-                raise ValueError("file ranks start at 1")
-
-    @property
-    def n_sbs(self) -> int:
-        return len(self.caches)
-
-
-@dataclass
-class DeliveryMap:
-    """For each user, the file ranks reachable through some accessible cache."""
-
-    sets: tuple[frozenset[int], ...]
-
-
-def build_sbs_weighted_graph(sbs: PointSet) -> WeightedGraph:
-    """Complete weighted graph over SBSs with w[i][j] = d(S_i, S_j)."""
-    return WeightedGraph(len(sbs), distance_matrix(sbs))
+def build_sbs_weighted_graph(sbs: PointSet) -> np.ndarray:
+    """Complete weighted graph over SBSs as its weight matrix, w[i][j] = d(S_i, S_j)."""
+    return distance_matrix(sbs)
 
 
 def individual_thresholds(ranges: CoverageRanges) -> np.ndarray:
@@ -146,22 +71,26 @@ def universal_threshold(ranges: CoverageRanges) -> float:
     return float(ranges.ranges.min())
 
 
-def threshold_graph(g: WeightedGraph, thresholds) -> SimpleGraph:
+def threshold_graph(w: np.ndarray, thresholds) -> SimpleGraph:
     """Conflict graph: edge (i, j) iff the SBSs are within threshold of each other.
 
-    Nearby stations (w[i][j] <= Tr(i,j), boundary inclusive) are the ones that
-    can serve a common user and therefore must not cache the same block.
+    ``w`` is the SBS distance matrix. Nearby stations (w[i][j] <= Tr(i,j),
+    boundary inclusive) are the ones that can serve a common user and
+    therefore must not cache the same block.
     ``thresholds`` may be a full matrix or a scalar (universal threshold); it
-    must be symmetric and non-negative.
+    must be symmetric and non-negative, and so must the weights.
     """
-    tr = np.broadcast_to(np.asarray(thresholds, dtype=float), (g.n, g.n))
-    if g.n and not np.array_equal(tr, tr.T):
+    n = w.shape[0]
+    if n and np.any(w < 0.0):
+        raise ValueError("weights must be non-negative")
+    tr = np.broadcast_to(np.asarray(thresholds, dtype=float), (n, n))
+    if n and not np.array_equal(tr, tr.T):
         raise ValueError("threshold matrix must be symmetric")
-    if g.n and np.any(tr < 0.0):
+    if n and np.any(tr < 0.0):
         raise ValueError("thresholds must be non-negative")
-    adj = g.w <= tr
+    adj = w <= tr
     np.fill_diagonal(adj, False)
-    return SimpleGraph(g.n, adj)
+    return SimpleGraph(n, adj)
 
 
 def build_class_graph(classes: Sequence[Iterable[int]]) -> SimpleGraph:
@@ -193,66 +122,6 @@ def access_matrix(users: PointSet, sbs: PointSet, ranges: CoverageRanges) -> np.
     return d <= ranges.ranges[None, :]
 
 
-def build_access_map(users: PointSet, sbs: PointSet, ranges: CoverageRanges) -> AccessMap:
-    mat = access_matrix(users, sbs, ranges)
-    sets = tuple(frozenset(np.flatnonzero(row).tolist()) for row in mat)
-    return AccessMap(sets, len(sbs))
-
-
-def build_delivery_map(placement: PlacementMap, access: AccessMap) -> DeliveryMap:
-    """Per-user union of the caches of the SBSs the user can access."""
-    if placement.n_sbs != access.n_sbs:
-        raise ValueError("placement and access describe different SBS counts")
-    out = []
-    for reachable in access.sets:
-        files: set[int] = set()
-        for j in reachable:
-            files |= placement.caches[j]
-        out.append(frozenset(files))
-    return DeliveryMap(tuple(out))
-
-
-def placement_matrix(placement: PlacementMap, file_count: int) -> np.ndarray:
-    """Boolean (n_sbs, file_count) matrix form of a placement map."""
-    mat = np.zeros((placement.n_sbs, file_count), dtype=bool)
-    for j, cache in enumerate(placement.caches):
-        for rank in cache:
-            if rank > file_count:
-                raise ValueError(f"rank {rank} beyond catalog size {file_count}")
-            mat[j, rank - 1] = True
-    return mat
-
-
 def graph_to_edge_list(g: SimpleGraph) -> str:
     """One ``i j`` line per edge, 0-based, i < j, ascending."""
     return "".join(f"{i} {j}\n" for i, j in g.edges())
-
-
-def graph_from_edge_list(text: str, n: int) -> SimpleGraph:
-    edges = []
-    for ln in text.splitlines():
-        if not ln.strip():
-            continue
-        i, j = map(int, ln.split())
-        edges.append((i, j))
-    return SimpleGraph.from_edges(n, edges)
-
-
-def placement_to_csv(placement: PlacementMap) -> str:
-    buf = io.StringIO()
-    buf.write("sbs_id,file_rank\n")
-    for j, cache in enumerate(placement.caches):
-        for rank in sorted(cache):
-            buf.write(f"{j},{rank}\n")
-    return buf.getvalue()
-
-
-def placement_from_csv(text: str, memory_capacity: int, n_sbs: int) -> PlacementMap:
-    caches: list[set[int]] = [set() for _ in range(n_sbs)]
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "sbs_id,file_rank":
-        raise ValueError("expected header sbs_id,file_rank")
-    for ln in lines[1:]:
-        j, rank = map(int, ln.split(","))
-        caches[j].add(rank)
-    return PlacementMap(tuple(frozenset(c) for c in caches), memory_capacity)

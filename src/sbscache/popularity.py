@@ -45,13 +45,8 @@ def top_mass(catalog: Catalog, k: int) -> float:
     return float(catalog._pmf[:k].sum())
 
 
-def sample_request(catalog: Catalog, rng) -> int:
-    """Draw one requested rank by inverse-CDF lookup on the cumulative table."""
-    return int(sample_requests(catalog, 1, rng)[0])
-
-
 def sample_requests(catalog: Catalog, size: int, rng) -> np.ndarray:
-    """Vector of ``size`` requested ranks; mutates only the caller's stream."""
+    """``size`` requested ranks by inverse-CDF lookup; mutates only the caller's stream."""
     rng = np.random.default_rng(rng)
     u = rng.random(size)
     idx = np.searchsorted(catalog._cdf, u, side="right")

@@ -15,33 +15,39 @@ many worker threads execute the replications.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import ClassWeights, classify_and_weigh, class_graph_input
-from .coloring import Coloring, exact_min_coloring, greedy_color_by_degree, greedy_color_by_weight
+from .classify import SURVIVOR_COUNTINGS, ClassWeights, classify_and_weigh
+from .coloring import (
+    Coloring,
+    VertexWeights,
+    exact_min_coloring,
+    greedy_color_by_degree,
+    greedy_color_by_weight,
+)
 from .geometry import PointSet, sample_binomial_disk
 from .netgraph import (
     CoverageRanges,
-    PlacementMap,
     SimpleGraph,
     access_matrix,
     build_class_graph,
     build_sbs_weighted_graph,
     individual_thresholds,
-    placement_matrix,
     threshold_graph,
     universal_threshold,
 )
-from .placement import place_by_coloring, place_most_popular
+from .placement import Placement, place_by_coloring, place_most_popular, placement_matrix
 from .popularity import Catalog, sample_requests
 
 POLICIES = ("baseline", "threshold_coloring", "matern_coloring")
 THRESHOLD_MODES = ("individual", "universal")
 COLORING_MODES = ("greedy", "exact")
-SURVIVOR_COUNTINGS = ("double", "single")
 
 SWEEP_AXES = ("n_sbs", "alpha")
 SWEEP_CSV_HEADER = (
@@ -81,8 +87,8 @@ class ScenarioConfig:
     above it. ``max_matern_iterations=None`` means 10 * n_sbs.
     """
 
-    n_sbs: int = 48
     cell_radius: float = 350.0
+    n_sbs: int = 48
     sbs_range: float | None = 80.0
     sbs_range_min: float | None = None
     sbs_range_max: float | None = None
@@ -106,6 +112,8 @@ class ScenarioConfig:
         return self.sbs_range_min is not None or self.sbs_range_max is not None
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            _check_type(f.name, getattr(self, f.name))
         if not self.cell_radius > 0:
             raise ValueError("cell_radius must be positive")
         for name in ("n_sbs", "n_users", "n_rounds", "requests_per_round"):
@@ -147,6 +155,40 @@ class ScenarioConfig:
             raise ValueError("max_matern_iterations must be at least 1")
 
 
+def _field_types(cls) -> dict[str, tuple[type, bool]]:
+    """Each field's value type (int, float or str) and whether it may be None."""
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for f in dataclasses.fields(cls):
+        args = typing.get_args(hints[f.name])
+        out[f.name] = (args[0], True) if args else (hints[f.name], False)
+    return out
+
+
+# The config schema, in config file order; the CLI derives its keys from it.
+CONFIG_FIELDS = _field_types(ScenarioConfig)
+
+
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a finite number"}
+
+
+def _check_type(name: str, value) -> None:
+    """Reject a value of the wrong type, a bool for a number, or a non-finite float."""
+    kind, nullable = CONFIG_FIELDS[name]
+    if value is None:
+        ok = nullable
+    elif kind is str:
+        ok = isinstance(value, str)
+    elif isinstance(value, bool):
+        ok = False
+    elif kind is int:
+        ok = isinstance(value, numbers.Integral)
+    else:
+        ok = isinstance(value, numbers.Real) and math.isfinite(value)
+    if not ok:
+        raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
 @dataclass
 class SimResult:
     """Replication hit rates plus their mean / sample standard deviation."""
@@ -164,10 +206,6 @@ class SimResult:
         self.std_hit_rate = float(rates.std(ddof=1)) if rates.size > 1 else 0.0
 
     @property
-    def hit_rate(self) -> float:
-        return self.mean_hit_rate
-
-    @property
     def mbs_load(self) -> float:
         return 1.0 - self.mean_hit_rate
 
@@ -183,7 +221,7 @@ class PolicyArtifacts:
     conflict_graph: "SimpleGraph | None"
     coloring: "Coloring | None"
     class_weights: "ClassWeights | None"
-    placement: PlacementMap
+    placement: Placement
     colors_used: int
 
 
@@ -220,7 +258,7 @@ def build_policy_artifacts(
     catalog = Catalog(cfg.file_count, cfg.alpha)
     n = len(sbs)
     if n == 0:
-        return PolicyArtifacts(None, None, None, PlacementMap((), cfg.memory), 0)
+        return PolicyArtifacts(None, None, None, Placement([], cfg.memory, cfg.file_count), 0)
 
     if cfg.policy == "baseline":
         placement = place_most_popular(n, catalog, cfg.memory)
@@ -248,25 +286,17 @@ def build_policy_artifacts(
         max_iterations=cfg.max_matern_iterations,
         survivor_counting=cfg.survivor_counting,
     )
-    classes, weights = class_graph_input(cw)
-    graph = build_class_graph(classes)
-    coloring = greedy_color_by_weight(graph, weights)
+    graph = build_class_graph(cw.classes)
+    coloring = greedy_color_by_weight(graph, VertexWeights(cw.weights))
     placement = place_by_coloring(coloring, catalog, cfg.memory)
     return PolicyArtifacts(graph, coloring, cw, placement, coloring.k)
-
-
-def build_policy_placement(
-    cfg: ScenarioConfig, sbs: PointSet, ranges: CoverageRanges, policy_seed
-) -> tuple[PlacementMap, int]:
-    art = build_policy_artifacts(cfg, sbs, ranges, policy_seed)
-    return art.placement, art.colors_used
 
 
 def measure_hit_rate(
     cfg: ScenarioConfig,
     sbs: PointSet,
     ranges: CoverageRanges,
-    placement: PlacementMap,
+    placement: Placement,
     rounds_seed,
 ) -> float:
     """Replication steps 4-5: play the request rounds against a fixed placement.
@@ -277,7 +307,7 @@ def measure_hit_rate(
     """
     catalog = Catalog(cfg.file_count, cfg.alpha)
     n_sbs = len(sbs)
-    pmat = placement_matrix(placement, cfg.file_count) if n_sbs else None
+    pmat = placement_matrix(placement) if n_sbs else None
     q = cfg.requests_per_round
     hits = 0
     total = 0
@@ -303,9 +333,9 @@ def run_replication(cfg: ScenarioConfig, rep_seed) -> tuple[float, int]:
     """One full replication; returns (hit_rate, colors_used)."""
     _, _, s_policy, s_rounds = _substreams(rep_seed, 4)
     sbs, ranges = build_network(cfg, rep_seed)
-    placement, colors_used = build_policy_placement(cfg, sbs, ranges, s_policy)
-    hit_rate = measure_hit_rate(cfg, sbs, ranges, placement, s_rounds)
-    return hit_rate, colors_used
+    art = build_policy_artifacts(cfg, sbs, ranges, s_policy)
+    hit_rate = measure_hit_rate(cfg, sbs, ranges, art.placement, s_rounds)
+    return hit_rate, art.colors_used
 
 
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> SimResult:
@@ -386,7 +416,8 @@ def sweep(
     return cells
 
 
-def _fmt(value) -> str:
+def format_number(value) -> str:
+    """A CSV number: integers as such, everything else as a Python float."""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return str(float(value))
@@ -400,12 +431,12 @@ def sweep_to_csv(cells) -> str:
             ",".join(
                 (
                     c.axis_name,
-                    _fmt(c.axis_value),
+                    format_number(c.axis_value),
                     c.policy,
-                    _fmt(r.mean_hit_rate),
-                    _fmt(r.std_hit_rate),
-                    _fmt(r.mbs_load),
-                    _fmt(r.mean_colors_used),
+                    format_number(r.mean_hit_rate),
+                    format_number(r.std_hit_rate),
+                    format_number(r.mbs_load),
+                    format_number(r.mean_colors_used),
                     str(c.replications),
                     str(c.master_seed),
                 )

@@ -2,8 +2,11 @@
 
 Nothing here shares code with the production solvers: chromatic numbers come
 from exhaustive enumeration of canonical colorings, clique / independent-set
-sizes from full subset scans, and expected hit rates from integrating over a
-grid of the cell instead of drawing users and requests.
+sizes from full subset scans, cache blocks from a rank-by-rank loop, per-user
+delivery from set unions, and expected hit rates from integrating over a grid
+of the cell instead of drawing users and requests. The one exception is the
+access sets, which read the production access matrix; the netgraph tests
+check that matrix against a per-pair distance scan.
 """
 
 from __future__ import annotations
@@ -11,11 +14,23 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from sbscache.netgraph import SimpleGraph
+from sbscache.geometry import PointSet
+from sbscache.netgraph import CoverageRanges, SimpleGraph, access_matrix
 from sbscache.sim import ScenarioConfig, _substreams, build_network, build_policy_artifacts
+
+
+def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> SimpleGraph:
+    adj = np.zeros((n, n), dtype=bool)
+    for i, j in edges:
+        if i == j:
+            raise ValueError("self-loops are not allowed")
+        adj[i, j] = adj[j, i] = True
+    return SimpleGraph(n, adj)
 
 
 def random_simple_graph(rng: np.random.Generator, n: int, p: float) -> SimpleGraph:
@@ -78,6 +93,54 @@ def independence_number_enumeration(g: SimpleGraph) -> int:
                 best = size
                 break
     return best
+
+
+@dataclass
+class AccessMap:
+    """For each user, the set of SBS indices whose coverage reaches them."""
+
+    sets: tuple[frozenset[int], ...]
+    n_sbs: int
+
+    def __post_init__(self):
+        for s in self.sets:
+            if any(not 0 <= j < self.n_sbs for j in s):
+                raise ValueError("SBS index out of range in access set")
+
+
+@dataclass
+class DeliveryMap:
+    """For each user, the file ranks reachable through some accessible cache."""
+
+    sets: tuple[frozenset[int], ...]
+
+
+def build_access_map(users: PointSet, sbs: PointSet, ranges: CoverageRanges) -> AccessMap:
+    mat = access_matrix(users, sbs, ranges)
+    sets = tuple(frozenset(np.flatnonzero(row).tolist()) for row in mat)
+    return AccessMap(sets, len(sbs))
+
+
+def build_delivery_map(caches, access: AccessMap) -> DeliveryMap:
+    """Per-user union of the caches (per-SBS rank sets) of the SBSs the user can access."""
+    if len(caches) != access.n_sbs:
+        raise ValueError("placement and access describe different SBS counts")
+    out = []
+    for reachable in access.sets:
+        files: set[int] = set()
+        for j in reachable:
+            files |= caches[j]
+        out.append(frozenset(files))
+    return DeliveryMap(tuple(out))
+
+
+def block_caches_reference(colors, memory: int, file_count: int) -> tuple[frozenset[int], ...]:
+    """Color q caches ranks (q-1)*M+1 .. q*M, wrapped modulo the catalog, one rank at a time."""
+    caches = []
+    for q in colors:
+        start = (int(q) - 1) * memory
+        caches.append(frozenset((start + t) % file_count + 1 for t in range(memory)))
+    return tuple(caches)
 
 
 def zipf_pmf_reference(rank: int, alpha: float, file_count: int) -> float:

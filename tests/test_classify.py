@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from sbscache.classify import (
     ClassWeights,
     ConvergenceError,
-    class_graph_input,
     classify_and_weigh,
     classweights_to_csv,
 )
+from sbscache.coloring import VertexWeights
 from sbscache.geometry import PointSet
 from sbscache.netgraph import build_class_graph
 
@@ -119,18 +119,16 @@ def test_invariants_on_random_instances(seed, n):
 
 def test_class_graph_input_round_trip():
     cw = classify_and_weigh(ptset([(0, 0), (4, 0), (100, 100)]), R_CLASS, seed=2)
-    classes, weights = class_graph_input(cw)
-    assert classes == cw.classes
+    weights = VertexWeights(cw.weights)
     assert np.array_equal(weights.weights, cw.weights)
-    g = build_class_graph(classes)
+    g = build_class_graph(cw.classes)
     assert g.adjacency[0, 1] and not g.adjacency[0, 2]
 
 
 def test_singleton_network_adapter():
     cw = classify_and_weigh(ptset([(0, 0)]), R_CLASS, seed=1)
-    classes, weights = class_graph_input(cw)
-    assert build_class_graph(classes).edges() == []
-    assert weights.weights.tolist() == [2]
+    assert build_class_graph(cw.classes).edges() == []
+    assert VertexWeights(cw.weights).weights.tolist() == [2]
 
 
 def test_csv_format():

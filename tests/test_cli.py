@@ -295,3 +295,10 @@ def test_inspect_is_reproducible(tmp_path, capsys):
     first = capsys.readouterr().out
     assert main(["inspect", str(path), "--emit", "classes"]) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("key,raw", [("alpha", "nan"), ("r_class", "inf"), ("cell_radius", "inf")])
+def test_run_rejects_non_finite_values(config_path, capsys, key, raw):
+    assert main(["run", config_path, f"--{key}", raw]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err

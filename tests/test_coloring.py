@@ -25,6 +25,7 @@ from sbscache.netgraph import SimpleGraph
 from oracles import (
     chromatic_number_enumeration,
     clique_number_enumeration,
+    graph_from_edges,
     independence_number_enumeration,
     random_simple_graph,
 )
@@ -37,7 +38,7 @@ def complete_graph(n):
 
 
 def cycle_graph(n):
-    return SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def edgeless(n):
@@ -50,7 +51,7 @@ def test_is_proper_edgeless_single_color():
 
 
 def test_is_proper_detects_conflict():
-    g = SimpleGraph.from_edges(2, [(0, 1)])
+    g = graph_from_edges(2, [(0, 1)])
     assert not is_proper(g, Coloring(np.array([1, 1]), 1))
 
 
@@ -76,19 +77,19 @@ def test_greedy_degree_edgeless():
 
 def test_greedy_degree_star():
     # center has degree 4 so it is colored first with 1; each leaf then takes 2
-    g = SimpleGraph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    g = graph_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     c = greedy_color_by_degree(g)
     assert c.colors.tolist() == [1, 2, 2, 2, 2] and c.k == 2
 
 
 def test_greedy_weight_heavier_vertex_first():
-    g = SimpleGraph.from_edges(2, [(0, 1)])
+    g = graph_from_edges(2, [(0, 1)])
     assert greedy_color_by_weight(g, VertexWeights(np.array([5, 1]))).colors.tolist() == [1, 2]
     assert greedy_color_by_weight(g, VertexWeights(np.array([1, 5]))).colors.tolist() == [2, 1]
 
 
 def test_greedy_weight_path():
-    g = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
+    g = graph_from_edges(3, [(0, 1), (1, 2)])
     c = greedy_color_by_weight(g, VertexWeights(np.array([1, 9, 1])))
     assert c.colors.tolist() == [2, 1, 2] and c.k == 2
 
@@ -103,7 +104,7 @@ def test_exact_odd_cycle_needs_three():
 
 
 def test_exact_complete_bipartite_needs_two():
-    g = SimpleGraph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    g = graph_from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
     assert exact_min_coloring(g).k == 2
 
 
@@ -198,7 +199,7 @@ def test_exact_complete_graph_uses_n(n):
 
 @given(st.integers(1, 4), st.integers(1, 4))
 def test_exact_bipartite_with_edges_uses_two(a, b):
-    g = SimpleGraph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    g = graph_from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
     assert exact_min_coloring(g).k == 2
 
 

@@ -1,6 +1,5 @@
 """Disk sampling and Matern thinning behavior."""
 
-import io
 import math
 
 import numpy as np
@@ -14,10 +13,7 @@ from sbscache.geometry import (
     distance_matrix,
     matern_type_i,
     matern_type_ii,
-    points_to_csv,
-    read_points_csv,
     sample_binomial_disk,
-    sample_ppp_disk,
 )
 
 from oracles import min_pairwise_distance
@@ -55,20 +51,6 @@ def test_binomial_disk_rejects_bad_args():
         sample_binomial_disk(-1, 100.0, seed=0)
     with pytest.raises(ValueError):
         sample_binomial_disk(5, 0.0, seed=0)
-
-
-def test_ppp_disk_zero_intensity():
-    assert len(sample_ppp_disk(0.0, 350.0, seed=5)) == 0
-
-
-def test_ppp_disk_mean_count():
-    # mean of Poisson(lambda * pi * R^2) over many draws, within 3 sigma
-    intensity, radius, draws = 1e-4, 350.0, 10_000
-    expected = intensity * math.pi * radius**2
-    counts = [len(sample_ppp_disk(intensity, radius, seed=s)) for s in range(draws)]
-    sigma_mean = math.sqrt(expected / draws)
-    assert expected == pytest.approx(38.48, abs=0.01)  # 1e-4 * pi * 350^2
-    assert abs(np.mean(counts) - expected) <= 3 * sigma_mean
 
 
 def test_matern_i_single_point_survives():
@@ -166,21 +148,3 @@ def test_matern_ii_respects_hard_distance_and_contains_type_i(pts, hard, seed):
 def test_matern_outputs_deterministic(pts):
     assert matern_type_i(pts, 10.0).tolist() == matern_type_i(pts, 10.0).tolist()
 
-
-def test_points_csv_round_trip():
-    pts = sample_binomial_disk(25, 350.0, seed=13)
-    text = points_to_csv(pts)
-    assert text.startswith("id,x,y\n")
-    back, marks = read_points_csv(text, 350.0)
-    assert marks is None
-    assert np.array_equal(back.xy, pts.xy)
-
-
-def test_points_csv_round_trip_with_marks():
-    pts = sample_binomial_disk(7, 100.0, seed=17)
-    marks = np.random.default_rng(0).random(7)
-    text = points_to_csv(pts, marks)
-    assert text.startswith("id,x,y,mark\n")
-    back, back_marks = read_points_csv(io.StringIO(text), 100.0)
-    assert np.array_equal(back.xy, pts.xy)
-    assert np.array_equal(back_marks, marks)

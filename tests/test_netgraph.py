@@ -7,26 +7,18 @@ from hypothesis import strategies as st
 
 from sbscache.geometry import PointSet, sample_binomial_disk
 from sbscache.netgraph import (
-    AccessMap,
     CoverageRanges,
-    PlacementMap,
     SimpleGraph,
-    WeightedGraph,
-    build_access_map,
     build_class_graph,
-    build_delivery_map,
     build_sbs_weighted_graph,
-    graph_from_edge_list,
     graph_to_edge_list,
     individual_thresholds,
-    placement_from_csv,
-    placement_matrix,
-    placement_to_csv,
     threshold_graph,
     universal_threshold,
 )
+from sbscache.placement import Placement, placement_matrix, placement_to_csv
 
-from oracles import random_simple_graph
+from oracles import AccessMap, build_access_map, build_delivery_map, random_simple_graph
 
 
 def ptset(coords, radius=1000.0):
@@ -34,19 +26,19 @@ def ptset(coords, radius=1000.0):
 
 
 def test_weighted_graph_single_sbs():
-    g = build_sbs_weighted_graph(ptset([(0, 0)]))
-    assert g.n == 1 and g.w.tolist() == [[0.0]]
+    w = build_sbs_weighted_graph(ptset([(0, 0)]))
+    assert w.tolist() == [[0.0]]
 
 
 def test_weighted_graph_pair_distance():
-    g = build_sbs_weighted_graph(ptset([(0, 0), (0, 80)]))
-    assert g.w[0, 1] == 80.0
+    w = build_sbs_weighted_graph(ptset([(0, 0), (0, 80)]))
+    assert w[0, 1] == 80.0
 
 
 def test_weighted_graph_symmetric_zero_diagonal():
-    g = build_sbs_weighted_graph(sample_binomial_disk(20, 350.0, seed=2))
-    assert np.array_equal(g.w, g.w.T)
-    assert np.all(np.diag(g.w) == 0.0)
+    w = build_sbs_weighted_graph(sample_binomial_disk(20, 350.0, seed=2))
+    assert np.array_equal(w, w.T)
+    assert np.all(np.diag(w) == 0.0)
 
 
 def test_individual_thresholds_uniform_ranges():
@@ -158,15 +150,15 @@ def test_access_map_matches_brute_force_at_cell_scale():
 
 
 def test_delivery_empty_access():
-    placement = PlacementMap((frozenset({1, 2}),), 2)
+    caches = (frozenset({1, 2}),)
     access = AccessMap((frozenset(),), 1)
-    assert build_delivery_map(placement, access).sets[0] == frozenset()
+    assert build_delivery_map(caches, access).sets[0] == frozenset()
 
 
 def test_delivery_union():
-    placement = PlacementMap((frozenset({1, 2}), frozenset({3, 4})), 2)
+    caches = (frozenset({1, 2}), frozenset({3, 4}))
     access = AccessMap((frozenset({0, 1}),), 2)
-    assert build_delivery_map(placement, access).sets[0] == frozenset({1, 2, 3, 4})
+    assert build_delivery_map(caches, access).sets[0] == frozenset({1, 2, 3, 4})
 
 
 @given(st.integers(0, 2**31), st.integers(1, 12), st.integers(1, 30))
@@ -178,7 +170,6 @@ def test_delivery_is_exactly_the_placement_access_composition(seed, n_sbs, n_use
         for _ in range(n_sbs)
     )
     caches = tuple(frozenset(int(r) + 1 for r in c) for c in caches)
-    placement = PlacementMap(caches, 5)
     access = AccessMap(
         tuple(
             frozenset(int(j) for j in np.flatnonzero(rng.random(n_sbs) < 0.3))
@@ -186,19 +177,22 @@ def test_delivery_is_exactly_the_placement_access_composition(seed, n_sbs, n_use
         ),
         n_sbs,
     )
-    delivery = build_delivery_map(placement, access)
+    delivery = build_delivery_map(caches, access)
     for u in range(n_users):
         for f in delivery.sets[u]:
-            assert any(f in placement.caches[j] for j in access.sets[u])
+            assert any(f in caches[j] for j in access.sets[u])
         for j in access.sets[u]:
-            assert placement.caches[j] <= delivery.sets[u]
+            assert caches[j] <= delivery.sets[u]
 
 
 def test_placement_matrix_matches_sets():
-    placement = PlacementMap((frozenset({1, 5}), frozenset()), 2)
-    mat = placement_matrix(placement, 6)
-    assert mat[0].tolist() == [True, False, False, False, True, False]
-    assert not mat[1].any()
+    # color 3 with M = 4 over 10 files wraps: ranks 9, 10, 1, 2
+    placement = Placement(np.array([2, 3]), 4, 10)
+    mat = placement_matrix(placement)
+    assert mat.shape == (2, 10)
+    for j, cache in enumerate(placement.caches):
+        assert (np.flatnonzero(mat[j]) + 1).tolist() == sorted(cache)
+    assert placement.caches == (frozenset({5, 6, 7, 8}), frozenset({9, 10, 1, 2}))
 
 
 def test_simple_graph_rejects_asymmetry_and_loops():
@@ -210,20 +204,28 @@ def test_simple_graph_rejects_asymmetry_and_loops():
 
 def test_weighted_graph_rejects_negative_weights():
     with pytest.raises(ValueError):
-        WeightedGraph(2, np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        threshold_graph(np.array([[0.0, -1.0], [-1.0, 0.0]]), 10.0)
 
 
 @given(st.integers(0, 2**31), st.integers(0, 12))
 @settings(max_examples=100)
 def test_edge_list_round_trip(seed, n):
     g = random_simple_graph(np.random.default_rng(seed), n, 0.4)
-    back = graph_from_edge_list(graph_to_edge_list(g), n)
-    assert np.array_equal(back.adjacency, g.adjacency)
+    pairs = [tuple(map(int, ln.split())) for ln in graph_to_edge_list(g).splitlines()]
+    assert pairs == sorted(pairs) and all(i < j for i, j in pairs)
+    back = np.zeros((n, n), dtype=bool)
+    for i, j in pairs:
+        back[i, j] = back[j, i] = True
+    assert np.array_equal(back, g.adjacency)
 
 
 def test_placement_csv_round_trip():
-    placement = PlacementMap((frozenset({1, 2, 9}), frozenset(), frozenset({4})), 3)
-    text = placement_to_csv(placement)
-    assert text.splitlines()[0] == "sbs_id,file_rank"
-    back = placement_from_csv(text, 3, 3)
-    assert back.caches == placement.caches
+    placement = Placement(np.array([1, 3, 2]), 3, 8)
+    lines = placement_to_csv(placement).splitlines()
+    assert lines[0] == "sbs_id,file_rank"
+    back = [set() for _ in range(placement.n_sbs)]
+    for line in lines[1:]:
+        j, rank = map(int, line.split(","))
+        back[j].add(rank)
+    assert tuple(map(frozenset, back)) == placement.caches
+    assert placement.caches == (frozenset({1, 2, 3}), frozenset({7, 8, 1}), frozenset({4, 5, 6}))

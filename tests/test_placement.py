@@ -6,8 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbscache.coloring import Coloring
-from sbscache.placement import place_by_coloring, place_most_popular
+from sbscache.placement import (
+    Placement,
+    place_by_coloring,
+    place_most_popular,
+    placement_matrix,
+    placement_to_csv,
+)
 from sbscache.popularity import Catalog
+
+from oracles import block_caches_reference
 
 
 def coloring(colors):
@@ -71,6 +79,20 @@ def test_place_by_coloring_requires_memory():
         place_by_coloring(coloring([1]), Catalog(10, 0.6), 0)
 
 
+def test_placement_matrix_empty_network():
+    assert placement_matrix(Placement([], 5, 10)).shape == (0, 10)
+
+
+def test_placement_csv_lists_sorted_ranks_per_station():
+    text = placement_to_csv(Placement(np.array([1, 3]), 2, 5))
+    assert text == "sbs_id,file_rank\n0,1\n0,2\n1,1\n1,5\n"
+
+
+def test_placement_rejects_color_zero():
+    with pytest.raises(ValueError):
+        Placement(np.array([0, 1]), 2, 10)
+
+
 @given(
     st.integers(1, 8),
     st.integers(1, 12),
@@ -108,3 +130,20 @@ def test_unwrapped_distinct_colors_cache_disjoint_sets(q1, q2, memory):
     c1 = pmap.caches[list(colors).index(q1)]
     c2 = pmap.caches[list(colors).index(q2)]
     assert not (c1 & c2)
+
+
+@given(
+    st.lists(st.integers(1, 30), max_size=12),
+    st.integers(1, 40),
+    st.integers(1, 100),
+)
+@settings(max_examples=150)
+def test_placement_matches_loop_reference(colors, memory, file_count):
+    # wrap-around (q * M > F) and memory above the catalog size included
+    placement = Placement(np.array(colors, dtype=int), memory, file_count)
+    expected = block_caches_reference(colors, memory, file_count)
+    assert placement.caches == expected
+    mat = placement_matrix(placement)
+    assert mat.shape == (len(colors), file_count)
+    for j, cache in enumerate(expected):
+        assert (np.flatnonzero(mat[j]) + 1).tolist() == sorted(cache)

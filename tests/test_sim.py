@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from sbscache.classify import ConvergenceError
-from sbscache.netgraph import (
-    build_access_map,
-    build_delivery_map,
-    threshold_graph,
-    build_sbs_weighted_graph,
-)
+from sbscache.netgraph import build_sbs_weighted_graph, threshold_graph
 from sbscache.popularity import Catalog, sample_requests, top_mass
 from sbscache.sim import (
     ReplicationError,
@@ -20,7 +15,7 @@ from sbscache.sim import (
     SWEEP_CSV_HEADER,
     _substreams,
     build_network,
-    build_policy_placement,
+    build_policy_artifacts,
     mbs_load_reduction,
     measure_hit_rate,
     replication_seeds,
@@ -28,6 +23,8 @@ from sbscache.sim import (
     sweep,
     sweep_to_csv,
 )
+
+from oracles import build_access_map, build_delivery_map
 
 SMALL = ScenarioConfig(
     n_sbs=12, n_users=200, n_rounds=3, replications=4, master_seed=99,
@@ -123,9 +120,9 @@ def test_vectorized_hits_match_delivery_map_semantics():
     seed = replication_seeds(cfg.master_seed, 1)[0]
     _, _, s_policy, s_rounds = _substreams(seed, 4)
     sbs, ranges = build_network(cfg, seed)
-    placement, _ = build_policy_placement(
+    placement = build_policy_artifacts(
         dataclasses.replace(cfg, policy="threshold_coloring"), sbs, ranges, s_policy
-    )
+    ).placement
     measured = measure_hit_rate(cfg, sbs, ranges, placement, s_rounds)
 
     from sbscache.geometry import sample_binomial_disk
@@ -136,7 +133,7 @@ def test_vectorized_hits_match_delivery_map_semantics():
     ranks = sample_requests(
         Catalog(cfg.file_count, cfg.alpha), cfg.n_users, np.random.default_rng(s_requests)
     )
-    delivery = build_delivery_map(placement, build_access_map(users, sbs, ranges))
+    delivery = build_delivery_map(placement.caches, build_access_map(users, sbs, ranges))
     hits = sum(int(rank) in delivery.sets[u] for u, rank in enumerate(ranks))
     assert measured == hits / cfg.n_users
 
@@ -227,3 +224,27 @@ def test_config_validation_errors():
         dataclasses.replace(SMALL, sbs_range_min=50.0).validate()
     with pytest.raises(ValueError):
         dataclasses.replace(SMALL, cell_radius=0.0).validate()
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("alpha", float("nan")),
+        ("n_sbs", 4.5),
+        ("memory", 2.5),
+        ("n_users", True),
+        ("r_class", float("inf")),
+        ("cell_radius", float("inf")),
+    ],
+)
+def test_validation_rejects_bad_types_early_naming_the_key(key, value):
+    # each of these used to run (nan alpha) or fail late inside a replication
+    cfg = dataclasses.replace(SMALL, replications=1, **{key: value})
+    with pytest.raises(ValueError, match=key) as err:
+        run_scenario(cfg)
+    assert not isinstance(err.value, ReplicationError)
+
+
+def test_validation_accepts_numpy_scalars_and_int_floats():
+    cfg = dataclasses.replace(SMALL, n_sbs=np.int64(5), alpha=np.float64(0.4), cell_radius=300)
+    cfg.validate()
