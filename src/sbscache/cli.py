@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from . import sim
@@ -16,11 +17,7 @@ from .classify import classify_and_weigh, classweights_to_csv
 from .coloring import coloring_to_csv
 from .netgraph import graph_to_edge_list
 from .placement import placement_to_csv
-from .sim import ScenarioConfig, format_number
-
-RUN_CSV_HEADER = (
-    "policy,mean_hit_rate,std_hit_rate,mean_mbs_load,mean_colors_used,replications,master_seed"
-)
+from .sim import ScenarioConfig
 
 # Config file keys in canonical serialization order, and the sweep tokens
 # that pin no threshold mode, which are also accepted as ``policy =`` values.
@@ -114,18 +111,18 @@ def config_to_text(cfg: ScenarioConfig) -> str:
 
 
 def run_result_csv(cfg: ScenarioConfig, result: sim.SimResult) -> str:
-    row = ",".join(
-        (
-            cfg.policy,
-            format_number(result.mean_hit_rate),
-            format_number(result.std_hit_rate),
-            format_number(result.mbs_load),
-            format_number(result.mean_colors_used),
-            str(cfg.replications),
-            str(cfg.master_seed),
-        )
-    )
-    return RUN_CSV_HEADER + "\n" + row + "\n"
+    row = sim.result_row(cfg.policy, result, cfg.replications, cfg.master_seed)
+    return sim.RESULT_CSV_HEADER + "\n" + row + "\n"
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write to the file ``out``, creating its directory, or to stdout if no path is given."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _collect_overrides(ns: argparse.Namespace) -> dict[str, str]:
@@ -164,12 +161,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             raise ConfigError(f"invalid --values list {ns.values!r}") from None
         policies = [p.strip() for p in ns.policies.split(",") if p.strip()]
     cells = sim.sweep(cfg, axis, values, policies, workers=ns.workers)
-    csv_text = sim.sweep_to_csv(cells)
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write(sim.sweep_to_csv(cells), ns.out)
     return 0
 
 
@@ -204,11 +196,7 @@ def cmd_inspect(ns: argparse.Namespace) -> int:
                 text = placement_to_csv(art.placement)
     except Exception as exc:
         raise RuntimeError(f"stage '{stage}': {exc}") from exc
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, ns.out)
     return 0
 
 

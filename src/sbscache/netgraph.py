@@ -7,7 +7,6 @@ the proximity-class graph, and the user-to-SBS access matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -93,24 +92,15 @@ def threshold_graph(w: np.ndarray, thresholds) -> SimpleGraph:
     return SimpleGraph(n, adj)
 
 
-def build_class_graph(classes: Sequence[Iterable[int]]) -> SimpleGraph:
+def build_class_graph(classes: np.ndarray) -> SimpleGraph:
     """Edge (i, j), i != j, iff j belongs to i's proximity class.
 
-    Class membership must be symmetric (it comes from a distance test);
-    asymmetric input is rejected.
+    ``classes`` is the boolean class-membership matrix. Membership must be
+    symmetric (it comes from a distance test); asymmetric input is rejected.
     """
-    n = len(classes)
-    adj = np.zeros((n, n), dtype=bool)
-    sets = [frozenset(c) for c in classes]
-    for i, members in enumerate(sets):
-        for j in members:
-            if not 0 <= j < n:
-                raise ValueError(f"class member {j} out of range")
-            if i != j:
-                adj[i, j] = True
-    if not np.array_equal(adj, adj.T):
-        raise ValueError("class membership must be symmetric")
-    return SimpleGraph(n, adj)
+    adj = np.array(classes, dtype=bool)
+    np.fill_diagonal(adj, False)
+    return SimpleGraph(adj.shape[0], adj)
 
 
 def access_matrix(users: PointSet, sbs: PointSet, ranges: CoverageRanges) -> np.ndarray:

@@ -50,10 +50,10 @@ THRESHOLD_MODES = ("individual", "universal")
 COLORING_MODES = ("greedy", "exact")
 
 SWEEP_AXES = ("n_sbs", "alpha")
-SWEEP_CSV_HEADER = (
-    "axis_name,axis_value,policy,mean_hit_rate,std_hit_rate,"
-    "mean_mbs_load,mean_colors_used,replications,master_seed"
+RESULT_CSV_HEADER = (
+    "policy,mean_hit_rate,std_hit_rate,mean_mbs_load,mean_colors_used,replications,master_seed"
 )
+SWEEP_CSV_HEADER = "axis_name,axis_value," + RESULT_CSV_HEADER
 
 # Sweep policy tokens; threshold_individual / threshold_universal pin the
 # threshold mode regardless of the base config (used by the range comparison).
@@ -306,26 +306,19 @@ def measure_hit_rate(
     accessible SBS caches the requested rank.
     """
     catalog = Catalog(cfg.file_count, cfg.alpha)
-    n_sbs = len(sbs)
-    pmat = placement_matrix(placement) if n_sbs else None
-    q = cfg.requests_per_round
+    pmat = placement_matrix(placement)
+    n_users, q = cfg.n_users, cfg.requests_per_round
     hits = 0
     total = 0
     for round_seed in _substreams(rounds_seed, cfg.n_rounds):
         s_users, s_requests = _substreams(round_seed, 2)
-        users = sample_binomial_disk(cfg.n_users, cfg.cell_radius, s_users)
-        n_req = cfg.n_users * q
-        total += n_req
-        if n_req == 0:
-            continue
-        ranks = sample_requests(catalog, n_req, np.random.default_rng(s_requests))
-        if n_sbs == 0:
-            continue
+        users = sample_binomial_disk(n_users, cfg.cell_radius, s_users)
+        ranks = sample_requests(catalog, n_users * q, np.random.default_rng(s_requests))
+        total += ranks.size
         acc = access_matrix(users, sbs, ranges).T  # (n_sbs, n_users)
-        if q > 1:
-            acc = np.repeat(acc, q, axis=1)
-        cached = pmat[:, ranks - 1]  # (n_sbs, n_req)
-        hits += int((acc & cached).any(axis=0).sum())
+        # request i belongs to user i // q
+        cached = pmat[:, ranks.reshape(n_users, q) - 1]  # (n_sbs, n_users, q)
+        hits += int((acc[:, :, None] & cached).any(axis=0).sum())
     return hits / total if total else 0.0
 
 
@@ -423,25 +416,26 @@ def format_number(value) -> str:
     return str(float(value))
 
 
+def result_row(policy: str, result: SimResult, replications: int, master_seed: int) -> str:
+    """One scenario's result as a CSV row under RESULT_CSV_HEADER."""
+    return ",".join(
+        (
+            policy,
+            format_number(result.mean_hit_rate),
+            format_number(result.std_hit_rate),
+            format_number(result.mbs_load),
+            format_number(result.mean_colors_used),
+            str(replications),
+            str(master_seed),
+        )
+    )
+
+
 def sweep_to_csv(cells) -> str:
     lines = [SWEEP_CSV_HEADER]
     for c in cells:
-        r = c.result
-        lines.append(
-            ",".join(
-                (
-                    c.axis_name,
-                    format_number(c.axis_value),
-                    c.policy,
-                    format_number(r.mean_hit_rate),
-                    format_number(r.std_hit_rate),
-                    format_number(r.mbs_load),
-                    format_number(r.mean_colors_used),
-                    str(c.replications),
-                    str(c.master_seed),
-                )
-            )
-        )
+        row = result_row(c.policy, c.result, c.replications, c.master_seed)
+        lines.append(f"{c.axis_name},{format_number(c.axis_value)},{row}")
     return "\n".join(lines) + "\n"
 
 

@@ -4,9 +4,10 @@ Nothing here shares code with the production solvers: chromatic numbers come
 from exhaustive enumeration of canonical colorings, clique / independent-set
 sizes from full subset scans, cache blocks from a rank-by-rank loop, per-user
 delivery from set unions, and expected hit rates from integrating over a grid
-of the cell instead of drawing users and requests. The one exception is the
-access sets, which read the production access matrix; the netgraph tests
-check that matrix against a per-pair distance scan.
+of the cell instead of drawing users and requests. The exceptions are the
+access sets, which read the production access matrix (the netgraph tests
+check that matrix against a per-pair distance scan), and the class weights,
+which reuse the production mark draws and Matern thinnings.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from typing import Iterable
 
 import numpy as np
 
-from sbscache.geometry import PointSet
+from sbscache.classify import _fresh_marks
+from sbscache.geometry import MarkedPointSet, PointSet, matern_type_i, matern_type_ii
 from sbscache.netgraph import CoverageRanges, SimpleGraph, access_matrix
 from sbscache.sim import ScenarioConfig, _substreams, build_network, build_policy_artifacts
 
@@ -141,6 +143,45 @@ def block_caches_reference(colors, memory: int, file_count: int) -> tuple[frozen
         start = (int(q) - 1) * memory
         caches.append(frozenset((start + t) % file_count + 1 for t in range(memory)))
     return tuple(caches)
+
+
+def class_weights_reference(
+    pts: PointSet, r_class: float, seed, counting: str = "double", max_iterations: int | None = None
+) -> tuple[tuple[frozenset[int], ...], list[int], int]:
+    """Proximity classes as per-station sets, and weights from a survivor-by-member loop.
+
+    Marks and thinnings come from the production helpers so that every
+    iteration sees the same survivors. Returns (classes, weights,
+    iterations_used); raises RuntimeError if the budget runs out.
+    """
+    n = len(pts)
+    xy = pts.xy.tolist()
+    classes = tuple(
+        frozenset(
+            j for j in range(n)
+            if math.sqrt((xy[i][0] - xy[j][0]) ** 2 + (xy[i][1] - xy[j][1]) ** 2) <= r_class
+        )
+        for i in range(n)
+    )
+    weights = [0] * n
+    if n == 0:
+        return classes, weights, 0
+    rng = np.random.default_rng(seed)
+    hard = 2.0 * r_class
+    survivors_i = matern_type_i(pts, hard).tolist()
+    for iteration in range(1, (max_iterations or 10 * n) + 1):
+        marks = _fresh_marks(rng, n)
+        survivors_ii = matern_type_ii(MarkedPointSet(pts, marks), hard).tolist()
+        if counting == "double":
+            passes = survivors_i + survivors_ii
+        else:
+            passes = sorted(set(survivors_i) | set(survivors_ii))
+        for i in passes:
+            for j in classes[i]:
+                weights[j] += 1
+        if all(w > 0 for w in weights):
+            return classes, weights, iteration
+    raise RuntimeError("weights still zero after the iteration budget")
 
 
 def zipf_pmf_reference(rank: int, alpha: float, file_count: int) -> float:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbscache.classify import (
+    SURVIVOR_COUNTINGS,
     ClassWeights,
     ConvergenceError,
     classify_and_weigh,
@@ -14,6 +15,8 @@ from sbscache.classify import (
 from sbscache.coloring import VertexWeights
 from sbscache.geometry import PointSet
 from sbscache.netgraph import build_class_graph
+
+from oracles import class_weights_reference
 
 
 def ptset(coords, radius=1000.0):
@@ -27,7 +30,7 @@ def test_single_station():
     # the lone point survives both thinnings; default counting credits one
     # increment per survivor set, so its weight is 2 after one iteration
     cw = classify_and_weigh(ptset([(0, 0)]), R_CLASS, seed=1)
-    assert cw.classes == (frozenset({0}),)
+    assert cw.classes.tolist() == [[True]]
     assert cw.iterations_used == 1
     assert cw.weights.tolist() == [2]
 
@@ -41,7 +44,7 @@ def test_far_pair_double_counted():
     # distance 5 * r_class: singleton classes, both points survive both
     # thinnings, so each class is credited once per survivor set
     cw = classify_and_weigh(ptset([(0, 0), (5 * R_CLASS, 0)]), R_CLASS, seed=1)
-    assert cw.classes == (frozenset({0}), frozenset({1}))
+    assert cw.classes.tolist() == [[True, False], [False, True]]
     assert cw.iterations_used == 1
     assert cw.weights.tolist() == [2, 2]
 
@@ -50,7 +53,7 @@ def test_close_pair_shares_class_and_converges_first_iteration():
     # distance 0.5 * r_class: one shared class; type I removes both, type II
     # keeps the smaller mark, whose class increment covers both stations
     cw = classify_and_weigh(ptset([(0, 0), (0.5 * R_CLASS, 0)]), R_CLASS, seed=3)
-    assert cw.classes == (frozenset({0, 1}), frozenset({0, 1}))
+    assert cw.classes.tolist() == [[True, True], [True, True]]
     assert cw.iterations_used == 1
     assert cw.weights.tolist() == [1, 1]
 
@@ -60,7 +63,7 @@ def test_mid_pair_needs_multiple_iterations():
     # competitors, so only the per-iteration mark winner gains weight
     pts = ptset([(0, 0), (1.5 * R_CLASS, 0)])
     cw = classify_and_weigh(pts, R_CLASS, seed=5)
-    assert cw.classes == (frozenset({0}), frozenset({1}))
+    assert cw.classes.tolist() == [[True, False], [False, True]]
     assert cw.iterations_used >= 2
     assert np.all(cw.weights >= 1)
 
@@ -74,7 +77,8 @@ def test_convergence_error_reports_zero_weight_indices():
 
 def test_empty_network():
     cw = classify_and_weigh(ptset([]), R_CLASS, seed=1)
-    assert cw.classes == () and cw.weights.tolist() == [] and cw.iterations_used == 0
+    assert cw.classes.shape == (0, 0)
+    assert cw.weights.tolist() == [] and cw.iterations_used == 0
 
 
 def test_rejects_bad_parameters():
@@ -91,7 +95,7 @@ def test_deterministic_per_seed():
     pts = PointSet(rng.uniform(-100, 100, size=(20, 2)), 200.0)
     a = classify_and_weigh(pts, 30.0, seed=7)
     b = classify_and_weigh(pts, 30.0, seed=7)
-    assert a.classes == b.classes
+    assert np.array_equal(a.classes, b.classes)
     assert np.array_equal(a.weights, b.weights)
     assert a.iterations_used == b.iterations_used
 
@@ -101,7 +105,7 @@ def test_classes_depend_only_on_geometry():
     pts = PointSet(rng.uniform(-100, 100, size=(15, 2)), 200.0)
     a = classify_and_weigh(pts, 40.0, seed=1)
     b = classify_and_weigh(pts, 40.0, seed=999)
-    assert a.classes == b.classes
+    assert np.array_equal(a.classes, b.classes)
 
 
 @given(st.integers(0, 2**31), st.integers(1, 25))
@@ -111,10 +115,16 @@ def test_invariants_on_random_instances(seed, n):
     pts = PointSet(rng.uniform(-150, 150, size=(n, 2)), 400.0)
     cw = classify_and_weigh(pts, 40.0, seed=seed)
     assert np.all(cw.weights >= 1)
-    for i, members in enumerate(cw.classes):
-        assert i in members
-        for j in members:
-            assert i in cw.classes[j]
+    assert cw.classes.diagonal().all()
+    assert np.array_equal(cw.classes, cw.classes.T)
+    # the matrix and its row sums agree with per-station sets and a
+    # survivor-by-member loop, under both survivor countings
+    for counting in SURVIVOR_COUNTINGS:
+        cw = classify_and_weigh(pts, 40.0, seed=seed, survivor_counting=counting)
+        classes, weights, iterations = class_weights_reference(pts, 40.0, seed, counting)
+        assert tuple(frozenset(np.flatnonzero(row).tolist()) for row in cw.classes) == classes
+        assert cw.weights.tolist() == weights
+        assert cw.iterations_used == iterations
 
 
 def test_class_graph_input_round_trip():
@@ -132,6 +142,13 @@ def test_singleton_network_adapter():
 
 
 def test_csv_format():
-    cw = ClassWeights((frozenset({0, 1}), frozenset({0, 1})), np.array([3, 2]), 2)
+    cw = ClassWeights(np.ones((2, 2), dtype=bool), np.array([3, 2]), 2)
     text = classweights_to_csv(cw)
     assert text == "sbs_id,weight,class_members\n0,3,0;1\n1,2,0;1\n"
+
+
+def test_class_weights_rejects_malformed_classes():
+    with pytest.raises(ValueError, match="n x n"):
+        ClassWeights(np.ones((2, 3), dtype=bool), np.array([1, 1]), 1)
+    with pytest.raises(ValueError, match="own station"):
+        ClassWeights(np.array([[1, 1], [1, 0]], dtype=bool), np.array([1, 1]), 1)

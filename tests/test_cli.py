@@ -190,6 +190,17 @@ def test_sweep_recipe_fig5_uses_interval(config_path, tmp_path, capsys):
     }
 
 
+def test_sweep_out_creates_missing_directory(config_path, tmp_path):
+    out = tmp_path / "new" / "table.csv"
+    code = main([
+        "sweep", config_path, "--axis", "n_sbs", "--values", "4",
+        "--policies", "baseline", "--out", str(out),
+        "--n_users", "20", "--replications", "2", "--n_rounds", "1",
+    ])
+    assert code == 0
+    assert out.read_text().startswith("axis_name,axis_value,policy")
+
+
 def test_sweep_recipe_conflicts_with_axis(config_path, capsys):
     assert main([
         "sweep", config_path, "--recipe", "fig3", "--axis", "alpha",
@@ -281,6 +292,14 @@ def test_inspect_writes_file(tmp_path):
     path = tmp_path / "pl.cfg"
     path.write_text("n_sbs = 3\nfile_count = 100\nmemory = 4\nmaster_seed = 1\n")
     out = tmp_path / "placement.csv"
+    assert main(["inspect", str(path), "--emit", "placement", "--out", str(out)]) == 0
+    assert out.read_text().startswith("sbs_id,file_rank")
+
+
+def test_inspect_out_creates_missing_directory(tmp_path):
+    path = tmp_path / "pl.cfg"
+    path.write_text("n_sbs = 3\nfile_count = 100\nmemory = 4\nmaster_seed = 1\n")
+    out = tmp_path / "new" / "placement.csv"
     assert main(["inspect", str(path), "--emit", "placement", "--out", str(out)]) == 0
     assert out.read_text().startswith("sbs_id,file_rank")
 

@@ -109,18 +109,20 @@ def test_universal_edges_subset_of_individual_edges():
 
 
 def test_class_graph_singletons_edgeless():
-    g = build_class_graph([{0}, {1}, {2}])
+    g = build_class_graph(np.eye(3, dtype=bool))
     assert g.edges() == []
 
 
 def test_class_graph_pair():
-    g = build_class_graph([{0, 1}, {0, 1}, {2}])
+    classes = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool)
+    g = build_class_graph(classes)
     assert g.edges() == [(0, 1)]
+    assert classes.diagonal().all()  # the input is left as it was
 
 
 def test_class_graph_rejects_asymmetric_membership():
     with pytest.raises(ValueError):
-        build_class_graph([{0, 1}, {1}])
+        build_class_graph(np.array([[1, 1], [0, 1]], dtype=bool))
 
 
 def test_access_map_out_of_range_user():

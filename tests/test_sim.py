@@ -4,11 +4,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sbscache.classify import ConvergenceError
+from sbscache.geometry import sample_binomial_disk
 from sbscache.netgraph import build_sbs_weighted_graph, threshold_graph
 from sbscache.popularity import Catalog, sample_requests, top_mass
 from sbscache.sim import (
+    POLICIES,
     ReplicationError,
     ScenarioConfig,
     SimResult,
@@ -114,28 +118,48 @@ def test_one_coloring_degenerates_to_baseline_on_shared_seeds():
     assert colored.colors_used == (1,) * 5
 
 
-def test_vectorized_hits_match_delivery_map_semantics():
-    # replay one round by hand through the set-based delivery map
-    cfg = dataclasses.replace(SMALL, n_rounds=1, replications=1, n_users=150)
-    seed = replication_seeds(cfg.master_seed, 1)[0]
-    _, _, s_policy, s_rounds = _substreams(seed, 4)
-    sbs, ranges = build_network(cfg, seed)
-    placement = build_policy_artifacts(
-        dataclasses.replace(cfg, policy="threshold_coloring"), sbs, ranges, s_policy
-    ).placement
-    measured = measure_hit_rate(cfg, sbs, ranges, placement, s_rounds)
-
-    from sbscache.geometry import sample_binomial_disk
-
-    round_seed = _substreams(s_rounds, cfg.n_rounds)[0]
-    s_users, s_requests = _substreams(round_seed, 2)
-    users = sample_binomial_disk(cfg.n_users, cfg.cell_radius, s_users)
-    ranks = sample_requests(
-        Catalog(cfg.file_count, cfg.alpha), cfg.n_users, np.random.default_rng(s_requests)
+@given(
+    seed=st.integers(0, 2**31),
+    q=st.integers(1, 4),
+    n_sbs=st.integers(0, 8),
+    n_users=st.integers(0, 30),
+    interval=st.booleans(),
+    memory=st.integers(1, 20),
+    policy=st.sampled_from(POLICIES),
+)
+@example(seed=0, q=3, n_sbs=0, n_users=20, interval=False, memory=5, policy="baseline")
+@example(seed=0, q=2, n_sbs=5, n_users=0, interval=True, memory=5, policy="matern_coloring")
+@example(seed=1, q=2, n_sbs=6, n_users=20, interval=False, memory=15, policy="threshold_coloring")
+@settings(max_examples=40, deadline=None)
+def test_vectorized_hits_match_delivery_map_semantics(
+    seed, q, n_sbs, n_users, interval, memory, policy
+):
+    # replay every round by hand through the set-based delivery map; with 20
+    # files, color blocks wrap around once colors x memory exceeds 20 (the
+    # last example: 3 colors x 15)
+    ranges = {"sbs_range": None, "sbs_range_min": 40.0, "sbs_range_max": 120.0} if interval else {}
+    cfg = dataclasses.replace(
+        SMALL, cell_radius=100.0, n_sbs=n_sbs, n_users=n_users, requests_per_round=q,
+        n_rounds=2, replications=1, master_seed=seed, file_count=20, memory=memory,
+        policy=policy, r_class=40.0, **ranges,
     )
-    delivery = build_delivery_map(placement.caches, build_access_map(users, sbs, ranges))
-    hits = sum(int(rank) in delivery.sets[u] for u, rank in enumerate(ranks))
-    assert measured == hits / cfg.n_users
+    rep_seed = replication_seeds(cfg.master_seed, 1)[0]
+    _, _, s_policy, s_rounds = _substreams(rep_seed, 4)
+    sbs, sbs_ranges = build_network(cfg, rep_seed)
+    placement = build_policy_artifacts(cfg, sbs, sbs_ranges, s_policy).placement
+    measured = measure_hit_rate(cfg, sbs, sbs_ranges, placement, s_rounds)
+
+    catalog = Catalog(cfg.file_count, cfg.alpha)
+    hits = total = 0
+    for round_seed in _substreams(s_rounds, cfg.n_rounds):
+        s_users, s_requests = _substreams(round_seed, 2)
+        users = sample_binomial_disk(n_users, cfg.cell_radius, s_users)
+        ranks = sample_requests(catalog, n_users * q, np.random.default_rng(s_requests))
+        delivery = build_delivery_map(placement.caches, build_access_map(users, sbs, sbs_ranges))
+        # request i belongs to user i // q
+        hits += sum(int(rank) in delivery.sets[i // q] for i, rank in enumerate(ranks))
+        total += len(ranks)
+    assert measured == (hits / total if total else 0.0)
 
 
 def test_replication_errors_carry_context():
