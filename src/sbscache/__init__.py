@@ -14,9 +14,9 @@ from .coloring import (
     max_degree,
 )
 from .geometry import (
-    MarkedPointSet,
     PointSet,
     distance_matrix,
+    hard_core_neighbours,
     matern_type_i,
     matern_type_ii,
     sample_binomial_disk,

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MarkedPointSet, PointSet, distance_matrix, matern_type_i, matern_type_ii
+from .geometry import (
+    PointSet,
+    distance_matrix,
+    hard_core_neighbours,
+    matern_type_i,
+    matern_type_ii,
+)
 
 SURVIVOR_COUNTINGS = ("double", "single")
 
@@ -67,12 +73,14 @@ def classify_and_weigh(
 ) -> ClassWeights:
     """Build classes by distance and accumulate weights until all are positive.
 
-    Each iteration computes the type-I survivors (geometry only, so constant
-    across iterations) and the type-II survivors under fresh marks, both at
-    hard-core distance 2 * r_class. Every survivor then bumps the weight of
-    every member of its class. With ``survivor_counting="double"`` (default) a
-    station appearing in both survivor sets triggers one increment pass per
-    set; ``"single"`` counts the union once, for sensitivity checks.
+    Both thinnings read one hard-core neighbour matrix at distance
+    2 * r_class, derived from the same distances as the classes. The type-I
+    survivors depend on geometry only, so they are computed once; each
+    iteration adds the type-II survivors under fresh marks. Every survivor
+    then bumps the weight of every member of its class. With
+    ``survivor_counting="double"`` (default) a station appearing in both
+    survivor sets triggers one increment pass per set; ``"single"`` counts
+    the union once, for sensitivity checks.
 
     Raises ConvergenceError, reporting the still-zero indices, if the budget
     (default 10 * station count) runs out first.
@@ -87,21 +95,18 @@ def classify_and_weigh(
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
 
-    # d stays referenced until return: freed early, it made each
-    # matern_type_ii call below page-fault its n x n arrays afresh
-    # (glibc, 400 SBS: 4x the minor faults, ~20% slower)
     d = distance_matrix(sbs)
     classes = d <= r_class
+    near = hard_core_neighbours(d, 2.0 * r_class)
     weights = np.zeros(n, dtype=int)
     if n == 0:
         return ClassWeights(classes, weights, 0)
 
     rng = np.random.default_rng(seed)
-    hard = 2.0 * r_class
-    survivors_i = matern_type_i(sbs, hard)
+    survivors_i = matern_type_i(near)
     for iteration in range(1, max_iterations + 1):
         marks = _fresh_marks(rng, n)
-        survivors_ii = matern_type_ii(MarkedPointSet(sbs, marks), hard)
+        survivors_ii = matern_type_ii(near, marks)
         if survivor_counting == "double":
             passes = np.concatenate((survivors_i, survivors_ii))
         else:

@@ -149,18 +149,22 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             raise ConfigError("--recipe and explicit --axis/--values/--policies are mutually exclusive")
         axis, values, policies, presets = RECIPES[ns.recipe]
         cfg = dataclasses.replace(cfg, **presets)
-        cfg.validate()
     else:
         if not (ns.axis and ns.values and ns.policies):
             raise ConfigError("either --recipe or all of --axis/--values/--policies are required")
         axis = ns.axis
-        caster = int if axis == "n_sbs" else float
+        kind, _ = sim.CONFIG_FIELDS[axis]
         try:
-            values = [caster(v) for v in ns.values.split(",") if v.strip()]
+            values = [kind(v) for v in ns.values.split(",") if v.strip()]
         except ValueError:
             raise ConfigError(f"invalid --values list {ns.values!r}") from None
         policies = [p.strip() for p in ns.policies.split(",") if p.strip()]
-    cells = sim.sweep(cfg, axis, values, policies, workers=ns.workers)
+    try:
+        cells = sim.sweep(cfg, axis, values, policies, workers=ns.workers)
+    except ValueError as exc:
+        # sweep checks every cell's config before running any; a failed
+        # replication arrives as a ReplicationError, not a ValueError
+        raise ConfigError(str(exc)) from None
     _write(sim.sweep_to_csv(cells), ns.out)
     return 0
 

@@ -1,4 +1,4 @@
-"""Point configurations in a disk cell and Matern hard-core thinnings.
+"""Point configurations in a disk cell and Matern thinnings on a hard-core neighbour matrix.
 
 Everything here is a pure function of its inputs; randomness enters only
 through explicit seeds, so any sample is bit-reproducible.
@@ -41,21 +41,6 @@ class PointSet:
         return self.xy.shape[0]
 
 
-@dataclass
-class MarkedPointSet:
-    """A PointSet with one uniform mark in [0, 1) per point."""
-
-    base: PointSet
-    marks: np.ndarray
-
-    def __post_init__(self):
-        self.marks = np.asarray(self.marks, dtype=float).reshape(-1)
-        if self.marks.shape[0] != len(self.base):
-            raise ValueError("marks length must equal point count")
-        if self.marks.size and (self.marks.min() < 0.0 or self.marks.max() >= 1.0):
-            raise ValueError("marks must lie in [0, 1)")
-
-
 def sample_binomial_disk(n: int, region_radius: float, seed: RngSeed) -> PointSet:
     """Draw exactly ``n`` i.i.d. area-uniform points in the disk.
 
@@ -80,38 +65,33 @@ def distance_matrix(pts: PointSet) -> np.ndarray:
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def matern_type_i(pts: PointSet, hard_distance: float) -> np.ndarray:
-    """Type-I thinning: keep the points with no other point within ``hard_distance``.
-
-    The neighborhood test is inclusive (a competitor at exactly
-    ``hard_distance`` eliminates both points). Returns sorted indices into
-    ``pts``; deterministic given the point set.
-    """
+def hard_core_neighbours(d: np.ndarray, hard_distance: float) -> np.ndarray:
+    """From a distance matrix: ``near[i, j]`` iff i != j and ``d[i, j] <= hard_distance``."""
     if not hard_distance > 0:
         raise ValueError("hard_distance must be positive")
-    n = len(pts)
-    if n == 0:
-        return np.empty(0, dtype=int)
-    d = distance_matrix(pts)
-    np.fill_diagonal(d, np.inf)
-    return np.flatnonzero(d.min(axis=1) > hard_distance)
+    near = d <= hard_distance
+    np.fill_diagonal(near, False)
+    return near
 
 
-def matern_type_ii(marked: MarkedPointSet, hard_distance: float) -> np.ndarray:
+def matern_type_i(near: np.ndarray) -> np.ndarray:
+    """Type-I thinning: keep the points with no hard-core neighbour.
+
+    ``near`` comes from ``hard_core_neighbours``, so a competitor at exactly
+    the hard distance eliminates both points. Returns sorted indices.
+    """
+    return np.flatnonzero(~near.any(axis=1))
+
+
+def matern_type_ii(near: np.ndarray, marks: np.ndarray) -> np.ndarray:
     """Type-II thinning: keep the points whose mark is strictly smallest locally.
 
-    A point survives iff its mark is strictly below the mark of every other
-    point within ``hard_distance`` (inclusive). Marks must be pairwise
-    distinct so the comparison is never ambiguous.
+    A point survives iff its mark is strictly below the mark of every
+    hard-core neighbour in ``near``. Marks must be pairwise distinct so the
+    comparison is never ambiguous.
     """
-    if not hard_distance > 0:
-        raise ValueError("hard_distance must be positive")
-    n = len(marked.base)
-    if n == 0:
-        return np.empty(0, dtype=int)
-    if np.unique(marked.marks).size != n:
+    if marks.shape != near.shape[:1]:
+        raise ValueError("need one mark per point")
+    if np.unique(marks).size != marks.size:
         raise ValueError("marks must be pairwise distinct")
-    d = distance_matrix(marked.base)
-    np.fill_diagonal(d, np.inf)
-    neighbor_marks = np.where(d <= hard_distance, marked.marks[None, :], np.inf)
-    return np.flatnonzero(marked.marks < neighbor_marks.min(axis=1))
+    return np.flatnonzero(~(near & (marks[None, :] < marks[:, None])).any(axis=1))

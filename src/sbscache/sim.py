@@ -384,7 +384,9 @@ def sweep(
     """One scenario per (axis value, policy), all sharing the master seed.
 
     Sharing the seed makes every policy see the same networks and requests at
-    a given axis value, so policy columns are directly comparable.
+    a given axis value, so policy columns are directly comparable. Every
+    cell's config is validated before any cell runs, so a bad value raises
+    ValueError at once.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}")
@@ -394,7 +396,7 @@ def sweep(
         raise ValueError("axis values must be non-empty")
     if not policies:
         raise ValueError("policy list must be non-empty")
-    cells = []
+    runs = []
     for value in values:
         for token in policies:
             policy, mode_override, label = resolve_policy_token(token)
@@ -402,11 +404,13 @@ def sweep(
             if mode_override is not None:
                 overrides["threshold_mode"] = mode_override
             cfg_cell = dataclasses.replace(cfg, **overrides)
-            result = run_scenario(cfg_cell, workers=workers)
-            cells.append(
-                SweepCell(axis, value, label, result, cfg.replications, cfg.master_seed)
-            )
-    return cells
+            cfg_cell.validate()
+            runs.append((value, label, cfg_cell))
+    return [
+        SweepCell(axis, value, label, run_scenario(cfg_cell, workers=workers),
+                  cfg.replications, cfg.master_seed)
+        for value, label, cfg_cell in runs
+    ]
 
 
 def format_number(value) -> str:

@@ -7,7 +7,7 @@ delivery from set unions, and expected hit rates from integrating over a grid
 of the cell instead of drawing users and requests. The exceptions are the
 access sets, which read the production access matrix (the netgraph tests
 check that matrix against a per-pair distance scan), and the class weights,
-which reuse the production mark draws and Matern thinnings.
+which reuse the production mark draws (but not the thinnings).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from sbscache.classify import _fresh_marks
-from sbscache.geometry import MarkedPointSet, PointSet, matern_type_i, matern_type_ii
+from sbscache.geometry import PointSet
 from sbscache.netgraph import CoverageRanges, SimpleGraph, access_matrix
 from sbscache.sim import ScenarioConfig, _substreams, build_network, build_policy_artifacts
 
@@ -150,28 +150,36 @@ def class_weights_reference(
 ) -> tuple[tuple[frozenset[int], ...], list[int], int]:
     """Proximity classes as per-station sets, and weights from a survivor-by-member loop.
 
-    Marks and thinnings come from the production helpers so that every
-    iteration sees the same survivors. Returns (classes, weights,
-    iterations_used); raises RuntimeError if the budget runs out.
+    Classes and hard-core neighbours (at 2 * r_class) come from one per-pair
+    distance scan; the type-I and type-II rules are plain loops over those
+    neighbours. Marks come from the production draw so that every iteration
+    sees the same marks. Returns (classes, weights, iterations_used); raises
+    RuntimeError if the budget runs out.
     """
     n = len(pts)
     xy = pts.xy.tolist()
-    classes = tuple(
-        frozenset(
-            j for j in range(n)
-            if math.sqrt((xy[i][0] - xy[j][0]) ** 2 + (xy[i][1] - xy[j][1]) ** 2) <= r_class
-        )
-        for i in range(n)
-    )
+
+    def within(radius: float) -> list[list[int]]:
+        return [
+            [
+                j for j in range(n)
+                if math.sqrt((xy[i][0] - xy[j][0]) ** 2 + (xy[i][1] - xy[j][1]) ** 2) <= radius
+            ]
+            for i in range(n)
+        ]
+
+    classes = tuple(frozenset(members) for members in within(r_class))
+    neighbours = [[j for j in row if j != i] for i, row in enumerate(within(2.0 * r_class))]
     weights = [0] * n
     if n == 0:
         return classes, weights, 0
     rng = np.random.default_rng(seed)
-    hard = 2.0 * r_class
-    survivors_i = matern_type_i(pts, hard).tolist()
+    survivors_i = [i for i in range(n) if not neighbours[i]]
     for iteration in range(1, (max_iterations or 10 * n) + 1):
-        marks = _fresh_marks(rng, n)
-        survivors_ii = matern_type_ii(MarkedPointSet(pts, marks), hard).tolist()
+        marks = _fresh_marks(rng, n).tolist()
+        survivors_ii = [
+            i for i in range(n) if all(marks[i] < marks[j] for j in neighbours[i])
+        ]
         if counting == "double":
             passes = survivors_i + survivors_ii
         else:

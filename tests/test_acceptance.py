@@ -25,7 +25,13 @@ from sbscache.coloring import (
     max_degree,
     VertexWeights,
 )
-from sbscache.geometry import MarkedPointSet, matern_type_i, matern_type_ii, sample_binomial_disk
+from sbscache.geometry import (
+    distance_matrix,
+    hard_core_neighbours,
+    matern_type_i,
+    matern_type_ii,
+    sample_binomial_disk,
+)
 from sbscache.netgraph import build_sbs_weighted_graph, threshold_graph
 from sbscache.placement import place_by_coloring, place_most_popular
 from sbscache.popularity import Catalog, sample_requests, top_mass, zipf_pmf
@@ -170,9 +176,10 @@ def test_criterion_2_matern_suite():
         n = int(rng.integers(0, 60))
         pts = sample_binomial_disk(n, 200.0, rng)
         hard = float(rng.uniform(5.0, 50.0))
-        kept_i = matern_type_i(pts, hard)
+        near = hard_core_neighbours(distance_matrix(pts), hard)
+        kept_i = matern_type_i(near)
         marks = rng.permutation(max(n, 1))[:n] / max(n, 1)
-        kept_ii = matern_type_ii(MarkedPointSet(pts, marks), hard)
+        kept_ii = matern_type_ii(near, marks)
         assert min_pairwise_distance(pts.xy[kept_i]) > hard
         assert min_pairwise_distance(pts.xy[kept_ii]) > hard
         assert set(kept_i.tolist()) <= set(kept_ii.tolist())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbscache import classify, geometry
 from sbscache.classify import (
     SURVIVOR_COUNTINGS,
     ClassWeights,
@@ -66,6 +67,25 @@ def test_mid_pair_needs_multiple_iterations():
     assert cw.classes.tolist() == [[True, False], [False, True]]
     assert cw.iterations_used >= 2
     assert np.all(cw.weights >= 1)
+
+
+def test_distances_computed_once_per_classification(monkeypatch):
+    # classes and both thinnings share one distance matrix, however many
+    # Matern iterations the network needs
+    calls = []
+    original = geometry.distance_matrix
+
+    def counted(pts):
+        calls.append(len(pts))
+        return original(pts)
+
+    monkeypatch.setattr(classify, "distance_matrix", counted)
+    monkeypatch.setattr(geometry, "distance_matrix", counted)
+    rng = np.random.default_rng(17)
+    pts = PointSet(rng.uniform(-100, 100, size=(30, 2)), 200.0)
+    cw = classify_and_weigh(pts, 30.0, seed=7)
+    assert cw.iterations_used >= 3
+    assert calls == [30]
 
 
 def test_convergence_error_reports_zero_weight_indices():

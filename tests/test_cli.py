@@ -9,6 +9,7 @@ from sbscache.cli import (
     main,
     parse_config_text,
 )
+from sbscache import sim
 from sbscache.sim import ScenarioConfig
 
 BASE_CONFIG = """\
@@ -188,6 +189,23 @@ def test_sweep_recipe_fig5_uses_interval(config_path, tmp_path, capsys):
     assert {ln.split(",")[2] for ln in lines[1:]} == {
         "baseline", "threshold_individual", "threshold_universal"
     }
+
+
+@pytest.mark.parametrize("axis, values", [("alpha", "0.6,nan"), ("n_sbs", "4,-3")])
+def test_sweep_rejects_bad_axis_value_before_running(
+    config_path, tmp_path, capsys, monkeypatch, axis, values
+):
+    ran = []
+    monkeypatch.setattr(sim, "run_scenario", lambda cfg, workers=1: ran.append(cfg))
+    out = tmp_path / "table.csv"
+    code = main([
+        "sweep", config_path, "--axis", axis, "--values", values,
+        "--policies", "baseline", "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and axis in err
+    assert ran == [] and not out.exists()
 
 
 def test_sweep_out_creates_missing_directory(config_path, tmp_path):

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbscache.geometry import (
-    MarkedPointSet,
     PointSet,
     distance_matrix,
+    hard_core_neighbours,
     matern_type_i,
     matern_type_ii,
     sample_binomial_disk,
@@ -21,6 +21,10 @@ from oracles import min_pairwise_distance
 
 def ptset(coords, radius=1000.0):
     return PointSet(np.array(coords, dtype=float).reshape(-1, 2), radius)
+
+
+def near(pts, hard):
+    return hard_core_neighbours(distance_matrix(pts), hard)
 
 
 def test_binomial_disk_empty():
@@ -54,42 +58,47 @@ def test_binomial_disk_rejects_bad_args():
 
 
 def test_matern_i_single_point_survives():
-    assert matern_type_i(ptset([(0, 0)]), 5.0).tolist() == [0]
+    assert matern_type_i(near(ptset([(0, 0)]), 5.0)).tolist() == [0]
 
 
 def test_matern_i_close_pair_mutually_eliminates():
-    pts = ptset([(0, 0), (0.5, 0)])
-    assert matern_type_i(pts, 1.0).tolist() == []
+    # the test is inclusive: a pair at exactly the hard distance also goes
+    for gap in (0.5, 1.0):
+        pts = ptset([(0, 0), (gap, 0)])
+        assert matern_type_i(near(pts, 1.0)).tolist() == []
 
 
 def test_matern_i_spaced_chain_survives():
-    # spacing 1.1h: pairwise distances 1.1h and 2.2h both exceed h
-    pts = ptset([(0, 0), (1.1, 0), (2.2, 0)])
-    assert matern_type_i(pts, 1.0).tolist() == [0, 1, 2]
+    # spacing 1.1h: pairwise distances 1.1h and 2.2h both exceed h; every
+    # prefix of the chain survives whole, down to the empty (0, 0) matrix
+    chain = [(0, 0), (1.1, 0), (2.2, 0)]
+    for k in range(len(chain) + 1):
+        assert matern_type_i(near(ptset(chain[:k]), 1.0)).tolist() == list(range(k))
 
 
 def test_matern_ii_single_point_survives():
-    marked = MarkedPointSet(ptset([(0, 0)]), np.array([0.4]))
-    assert matern_type_ii(marked, 2.0).tolist() == [0]
+    # a lone point survives, and no points leave no survivors
+    assert matern_type_ii(near(ptset([(0, 0)]), 2.0), np.array([0.4])).tolist() == [0]
+    assert matern_type_ii(np.zeros((0, 0), dtype=bool), np.empty(0)).tolist() == []
 
 
 def test_matern_ii_smaller_mark_wins():
-    marked = MarkedPointSet(ptset([(0, 0), (0.5, 0)]), np.array([0.2, 0.7]))
-    assert matern_type_ii(marked, 1.0).tolist() == [0]
+    pts = ptset([(0, 0), (0.5, 0)])
+    assert matern_type_ii(near(pts, 1.0), np.array([0.2, 0.7])).tolist() == [0]
 
 
 def test_matern_ii_chain_middle_wins():
     # d(A,B) = d(B,C) = 0.8h, d(A,C) = 1.6h; B holds the smallest mark, so A
     # and C both lose to B while B survives
     pts = ptset([(0, 0), (0.8, 0), (1.6, 0)])
-    marked = MarkedPointSet(pts, np.array([0.3, 0.1, 0.2]))
-    assert matern_type_ii(marked, 1.0).tolist() == [1]
+    assert matern_type_ii(near(pts, 1.0), np.array([0.3, 0.1, 0.2])).tolist() == [1]
 
 
 def test_matern_ii_rejects_tied_marks():
-    marked = MarkedPointSet(ptset([(0, 0), (3, 0)]), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        matern_type_ii(marked, 1.0)
+    # ties are rejected whether or not the tied points are neighbours
+    for coords in ([(0, 0), (3, 0)], [(0, 0), (0.5, 0)]):
+        with pytest.raises(ValueError):
+            matern_type_ii(near(ptset(coords), 1.0), np.array([0.5, 0.5]))
 
 
 def test_distance_matrix_single():
@@ -129,7 +138,7 @@ def disk_point_sets(draw, max_points=40, radius=100.0):
 @given(disk_point_sets(), st.floats(min_value=1.0, max_value=60.0))
 @settings(max_examples=150)
 def test_matern_i_respects_hard_distance(pts, hard):
-    kept = matern_type_i(pts, hard)
+    kept = matern_type_i(near(pts, hard))
     assert min_pairwise_distance(pts.xy[kept]) > hard
 
 
@@ -137,14 +146,14 @@ def test_matern_i_respects_hard_distance(pts, hard):
 @settings(max_examples=150)
 def test_matern_ii_respects_hard_distance_and_contains_type_i(pts, hard, seed):
     marks = np.random.default_rng(seed).permutation(len(pts)) / max(len(pts), 1)
-    kept_ii = matern_type_ii(MarkedPointSet(pts, marks), hard)
+    kept_ii = matern_type_ii(near(pts, hard), marks)
     assert min_pairwise_distance(pts.xy[kept_ii]) > hard
-    kept_i = matern_type_i(pts, hard)
+    kept_i = matern_type_i(near(pts, hard))
     assert set(kept_i.tolist()) <= set(kept_ii.tolist())
 
 
 @given(disk_point_sets())
 @settings(max_examples=50)
 def test_matern_outputs_deterministic(pts):
-    assert matern_type_i(pts, 10.0).tolist() == matern_type_i(pts, 10.0).tolist()
+    assert matern_type_i(near(pts, 10.0)).tolist() == matern_type_i(near(pts, 10.0)).tolist()
 
