@@ -5,13 +5,9 @@ from .coloring import (
     CapacityError,
     Coloring,
     VertexWeights,
-    clique_number,
     exact_min_coloring,
     greedy_color_by_degree,
     greedy_color_by_weight,
-    independence_number,
-    is_proper,
-    max_degree,
 )
 from .geometry import (
     PointSet,

@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import sim
-from .classify import classify_and_weigh, classweights_to_csv
+from .classify import classweights_to_csv
 from .coloring import coloring_to_csv
 from .netgraph import graph_to_edge_list
 from .placement import placement_to_csv
@@ -169,35 +169,32 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     return 0
 
 
+# ``inspect --emit`` choices: the PolicyArtifacts field each prints, and how.
+EMITS = {
+    "graph": ("conflict_graph", graph_to_edge_list),
+    "coloring": ("coloring", coloring_to_csv),
+    "placement": ("placement", placement_to_csv),
+    "classes": ("class_weights", classweights_to_csv),
+}
+
+
 def cmd_inspect(ns: argparse.Namespace) -> int:
     cfg = parse_config_file(ns.config, _collect_overrides(ns))
+    if ns.emit == "classes":
+        # only the Matern pipeline builds classes; it draws the same marks
+        # whatever policy the config names
+        cfg = dataclasses.replace(cfg, policy="matern_coloring")
     seed0 = sim.replication_seeds(cfg.master_seed, 1)[0]
+    field, to_text = EMITS[ns.emit]
     stage = "network"
     try:
         sbs, ranges = sim.build_network(cfg, seed0)
-        policy_seed = sim._substreams(seed0, 4)[2]
         stage = ns.emit
-        if ns.emit == "classes":
-            cw = classify_and_weigh(
-                sbs,
-                cfg.r_class,
-                policy_seed,
-                max_iterations=cfg.max_matern_iterations,
-                survivor_counting=cfg.survivor_counting,
-            )
-            text = classweights_to_csv(cw)
-        else:
-            art = sim.build_policy_artifacts(cfg, sbs, ranges, policy_seed)
-            if ns.emit == "graph":
-                if art.conflict_graph is None:
-                    raise ValueError(f"policy '{cfg.policy}' builds no conflict graph")
-                text = graph_to_edge_list(art.conflict_graph)
-            elif ns.emit == "coloring":
-                if art.coloring is None:
-                    raise ValueError(f"policy '{cfg.policy}' builds no coloring")
-                text = coloring_to_csv(art.coloring)
-            else:
-                text = placement_to_csv(art.placement)
+        artifact = getattr(sim.build_policy_artifacts(cfg, sbs, ranges, seed0), field)
+        if artifact is None:
+            what = field.replace("_", " ")
+            raise ValueError(f"policy '{cfg.policy}' on {len(sbs)} SBSs builds no {what}")
+        text = to_text(artifact)
     except Exception as exc:
         raise RuntimeError(f"stage '{stage}': {exc}") from exc
     _write(text, ns.out)
@@ -230,9 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inspect = sub.add_parser("inspect", help="emit one replication's intermediate artifact")
     p_inspect.add_argument("config", help="path to a key = value config file")
-    p_inspect.add_argument(
-        "--emit", required=True, choices=("graph", "coloring", "placement", "classes")
-    )
+    p_inspect.add_argument("--emit", required=True, choices=tuple(EMITS))
     p_inspect.add_argument("--out", help="output path (default: stdout)")
     _add_override_flags(p_inspect)
     p_inspect.set_defaults(func=cmd_inspect)

@@ -1,9 +1,8 @@
 """Proper vertex coloring of conflict graphs.
 
-Two greedy priority orders (static degree, vertex weight), an exact
-minimum-coloring solver for small instances, and brute-force bound oracles
-(max degree, clique number, independence number). Color indices start at 1
-and are dense; they double as cache-fill priorities downstream.
+Two greedy priority orders (static degree, vertex weight) and an exact
+minimum-coloring solver for small instances. Color indices start at 1 and
+are dense; they double as cache-fill priorities downstream.
 """
 
 from __future__ import annotations
@@ -60,14 +59,6 @@ class VertexWeights:
 
     def __len__(self) -> int:
         return self.weights.shape[0]
-
-
-def is_proper(g: SimpleGraph, c: Coloring) -> bool:
-    """True iff no edge joins two vertices of equal color."""
-    if len(c) != g.n:
-        raise ValueError("coloring must cover every vertex")
-    same = c.colors[:, None] == c.colors[None, :]
-    return not np.any(same & g.adjacency)
 
 
 def _greedy_in_order(g: SimpleGraph, order) -> Coloring:
@@ -188,43 +179,6 @@ def exact_min_coloring(g: SimpleGraph, limit: int = EXACT_SOLVER_LIMIT) -> Color
                 break
     k = int(colors.max()) if g.n else 0
     return Coloring(colors, k)
-
-
-def max_degree(g: SimpleGraph) -> int:
-    return int(g.degrees().max()) if g.n else 0
-
-
-def clique_number(g: SimpleGraph, limit: int = EXACT_SOLVER_LIMIT) -> int:
-    """Exact omega(G) by pruned exhaustive subset search."""
-    if g.n > limit:
-        raise CapacityError(f"clique oracle limited to {limit} vertices, got {g.n}")
-    if g.n == 0:
-        return 0
-    adj = _adjacency_bits(g)
-    best = 0
-
-    def extend(size: int, cand: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        while cand:
-            if size + cand.bit_count() <= best:
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            extend(size + 1, cand & adj[v])
-
-    extend(0, (1 << g.n) - 1)
-    return best
-
-
-def independence_number(g: SimpleGraph, limit: int = EXACT_SOLVER_LIMIT) -> int:
-    """Exact alpha(G): the clique number of the complement graph."""
-    if g.n > limit:
-        raise CapacityError(f"independence oracle limited to {limit} vertices, got {g.n}")
-    comp = ~g.adjacency
-    np.fill_diagonal(comp, False)
-    return clique_number(SimpleGraph(g.n, comp), limit)
 
 
 def coloring_to_csv(c: Coloring) -> str:

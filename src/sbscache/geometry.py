@@ -33,8 +33,8 @@ class PointSet:
             raise ValueError("region_radius must be positive")
         if not np.all(np.isfinite(self.xy)):
             raise ValueError("coordinates must be finite")
-        r2 = np.einsum("ij,ij->i", self.xy, self.xy)
-        if np.any(r2 > self.region_radius**2 * (1.0 + 1e-12)):
+        x, y = self.xy[:, 0], self.xy[:, 1]
+        if np.any(x * x + y * y > self.region_radius**2 * (1.0 + 1e-12)):
             raise ValueError("all points must lie inside the region disk")
 
     def __len__(self) -> int:
@@ -59,10 +59,12 @@ def sample_binomial_disk(n: int, region_radius: float, seed: RngSeed) -> PointSe
     return PointSet(xy, region_radius)
 
 
-def distance_matrix(pts: PointSet) -> np.ndarray:
-    """Pairwise Euclidean distances; exactly symmetric with a zero diagonal."""
-    diff = pts.xy[:, None, :] - pts.xy[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+def distance_matrix(a: PointSet, b: PointSet | None = None) -> np.ndarray:
+    """Euclidean distances from each point of ``a`` to each point of ``b`` (default: ``a``)."""
+    b = a if b is None else b
+    dx = a.xy[:, 0, None] - b.xy[None, :, 0]
+    dy = a.xy[:, 1, None] - b.xy[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def hard_core_neighbours(d: np.ndarray, hard_distance: float) -> np.ndarray:

@@ -1,7 +1,8 @@
 """The network's graph structures in adjacency form.
 
-The SBS-to-SBS distances, the conflict graph they give under a threshold,
-the proximity-class graph, and the user-to-SBS access matrix.
+The conflict graph that the SBS-to-SBS distances give under a threshold,
+the proximity-class graph, and the user-to-SBS access matrix, all from
+``geometry.distance_matrix``.
 """
 
 from __future__ import annotations
@@ -107,9 +108,7 @@ def access_matrix(users: PointSet, sbs: PointSet, ranges: CoverageRanges) -> np.
     """Boolean (n_users, n_sbs) matrix: user u can reach SBS j iff d(u, S_j) <= R_j."""
     if len(ranges) != len(sbs):
         raise ValueError("ranges length must equal SBS count")
-    diff = users.xy[:, None, :] - sbs.xy[None, :, :]
-    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    return d <= ranges.ranges[None, :]
+    return distance_matrix(users, sbs) <= ranges.ranges[None, :]
 
 
 def graph_to_edge_list(g: SimpleGraph) -> str:

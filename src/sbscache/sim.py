@@ -25,6 +25,7 @@ import numpy as np
 
 from .classify import SURVIVOR_COUNTINGS, ClassWeights, classify_and_weigh
 from .coloring import (
+    EXACT_SOLVER_LIMIT,
     Coloring,
     VertexWeights,
     exact_min_coloring,
@@ -83,8 +84,8 @@ class ScenarioConfig:
     Coverage is either fixed (``sbs_range``) or drawn uniformly per SBS per
     replication from [sbs_range_min, sbs_range_max]; exactly one form must be
     set. ``coloring_mode="exact"`` uses the exact solver whenever ``n_sbs``
-    fits inside ``exact_solver_limit`` and falls back to the degree greedy
-    above it. ``max_matern_iterations=None`` means 10 * n_sbs.
+    fits inside ``coloring.EXACT_SOLVER_LIMIT`` and falls back to the degree
+    greedy above it. ``max_matern_iterations=None`` means 10 * n_sbs.
     """
 
     cell_radius: float = 350.0
@@ -104,7 +105,6 @@ class ScenarioConfig:
     r_class: float = 80.0
     replications: int = 20
     master_seed: int = 1
-    exact_solver_limit: int = 25
     max_matern_iterations: int | None = None
     survivor_counting: str = "double"
 
@@ -149,8 +149,6 @@ class ScenarioConfig:
             raise ValueError(f"survivor_counting must be one of {SURVIVOR_COUNTINGS}")
         if not self.r_class > 0:
             raise ValueError("r_class must be positive")
-        if self.exact_solver_limit < 0:
-            raise ValueError("exact_solver_limit must be non-negative")
         if self.max_matern_iterations is not None and self.max_matern_iterations < 1:
             raise ValueError("max_matern_iterations must be at least 1")
 
@@ -222,7 +220,10 @@ class PolicyArtifacts:
     coloring: "Coloring | None"
     class_weights: "ClassWeights | None"
     placement: Placement
-    colors_used: int
+
+    @property
+    def colors_used(self) -> int:
+        return int(self.placement.colors.max(initial=0))
 
 
 def replication_seeds(master_seed: int, n: int) -> list[np.random.SeedSequence]:
@@ -240,8 +241,8 @@ def _substreams(seed, n: int) -> list[np.random.SeedSequence]:
 
 
 def build_network(cfg: ScenarioConfig, rep_seed) -> tuple[PointSet, CoverageRanges]:
-    """Replication steps 1-2: SBS positions and per-SBS coverage ranges."""
-    s_sbs, s_ranges, _, _ = _substreams(rep_seed, 4)
+    """Replication steps 1-2: SBS positions and coverage ranges, from substreams 0 and 1."""
+    s_sbs, s_ranges = _substreams(rep_seed, 4)[:2]
     sbs = sample_binomial_disk(cfg.n_sbs, cfg.cell_radius, s_sbs)
     rng = np.random.default_rng(s_ranges)
     if cfg.uses_range_interval():
@@ -252,17 +253,16 @@ def build_network(cfg: ScenarioConfig, rep_seed) -> tuple[PointSet, CoverageRang
 
 
 def build_policy_artifacts(
-    cfg: ScenarioConfig, sbs: PointSet, ranges: CoverageRanges, policy_seed
+    cfg: ScenarioConfig, sbs: PointSet, ranges: CoverageRanges, rep_seed
 ) -> PolicyArtifacts:
-    """Replication step 3: run the configured policy's placement pipeline."""
+    """Replication step 3: the policy's placement pipeline; Matern marks use substream 2."""
     catalog = Catalog(cfg.file_count, cfg.alpha)
     n = len(sbs)
     if n == 0:
-        return PolicyArtifacts(None, None, None, Placement([], cfg.memory, cfg.file_count), 0)
+        return PolicyArtifacts(None, None, None, Placement([], cfg.memory, cfg.file_count))
 
     if cfg.policy == "baseline":
-        placement = place_most_popular(n, catalog, cfg.memory)
-        return PolicyArtifacts(None, None, None, placement, 1)
+        return PolicyArtifacts(None, None, None, place_most_popular(n, catalog, cfg.memory))
 
     if cfg.policy == "threshold_coloring":
         weighted = build_sbs_weighted_graph(sbs)
@@ -271,25 +271,25 @@ def build_policy_artifacts(
         else:
             thresholds = universal_threshold(ranges)
         graph = threshold_graph(weighted, thresholds)
-        if cfg.coloring_mode == "exact" and n <= cfg.exact_solver_limit:
-            coloring = exact_min_coloring(graph, cfg.exact_solver_limit)
+        if cfg.coloring_mode == "exact" and n <= EXACT_SOLVER_LIMIT:
+            coloring = exact_min_coloring(graph)
         else:
             coloring = greedy_color_by_degree(graph)
         placement = place_by_coloring(coloring, catalog, cfg.memory)
-        return PolicyArtifacts(graph, coloring, None, placement, coloring.k)
+        return PolicyArtifacts(graph, coloring, None, placement)
 
     # matern_coloring
     cw = classify_and_weigh(
         sbs,
         cfg.r_class,
-        policy_seed,
+        _substreams(rep_seed, 4)[2],
         max_iterations=cfg.max_matern_iterations,
         survivor_counting=cfg.survivor_counting,
     )
     graph = build_class_graph(cw.classes)
     coloring = greedy_color_by_weight(graph, VertexWeights(cw.weights))
     placement = place_by_coloring(coloring, catalog, cfg.memory)
-    return PolicyArtifacts(graph, coloring, cw, placement, coloring.k)
+    return PolicyArtifacts(graph, coloring, cw, placement)
 
 
 def measure_hit_rate(
@@ -297,20 +297,20 @@ def measure_hit_rate(
     sbs: PointSet,
     ranges: CoverageRanges,
     placement: Placement,
-    rounds_seed,
+    rep_seed,
 ) -> float:
     """Replication steps 4-5: play the request rounds against a fixed placement.
 
     Per round, user positions are redrawn and each user issues
     ``requests_per_round`` Zipf requests; a request is a hit iff some
-    accessible SBS caches the requested rank.
+    accessible SBS caches the requested rank. The rounds split substream 3.
     """
     catalog = Catalog(cfg.file_count, cfg.alpha)
     pmat = placement_matrix(placement)
     n_users, q = cfg.n_users, cfg.requests_per_round
     hits = 0
     total = 0
-    for round_seed in _substreams(rounds_seed, cfg.n_rounds):
+    for round_seed in _substreams(_substreams(rep_seed, 4)[3], cfg.n_rounds):
         s_users, s_requests = _substreams(round_seed, 2)
         users = sample_binomial_disk(n_users, cfg.cell_radius, s_users)
         ranks = sample_requests(catalog, n_users * q, np.random.default_rng(s_requests))
@@ -324,11 +324,9 @@ def measure_hit_rate(
 
 def run_replication(cfg: ScenarioConfig, rep_seed) -> tuple[float, int]:
     """One full replication; returns (hit_rate, colors_used)."""
-    _, _, s_policy, s_rounds = _substreams(rep_seed, 4)
     sbs, ranges = build_network(cfg, rep_seed)
-    art = build_policy_artifacts(cfg, sbs, ranges, s_policy)
-    hit_rate = measure_hit_rate(cfg, sbs, ranges, art.placement, s_rounds)
-    return hit_rate, art.colors_used
+    art = build_policy_artifacts(cfg, sbs, ranges, rep_seed)
+    return measure_hit_rate(cfg, sbs, ranges, art.placement, rep_seed), art.colors_used
 
 
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> SimResult:

@@ -6,8 +6,10 @@ sizes from full subset scans, cache blocks from a rank-by-rank loop, per-user
 delivery from set unions, and expected hit rates from integrating over a grid
 of the cell instead of drawing users and requests. The exceptions are the
 access sets, which read the production access matrix (the netgraph tests
-check that matrix against a per-pair distance scan), and the class weights,
-which reuse the production mark draws (but not the thinnings).
+check that matrix against a per-pair distance scan), the class weights,
+which reuse the production mark draws (but not the thinnings), and the
+pruned clique search, which reads the exact solver's bit-packed adjacency
+(the coloring tests check it against the full subset scans).
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from typing import Iterable
 import numpy as np
 
 from sbscache.classify import _fresh_marks
+from sbscache.coloring import EXACT_SOLVER_LIMIT, CapacityError, Coloring, _adjacency_bits
 from sbscache.geometry import PointSet
 from sbscache.netgraph import CoverageRanges, SimpleGraph, access_matrix
-from sbscache.sim import ScenarioConfig, _substreams, build_network, build_policy_artifacts
+from sbscache.sim import ScenarioConfig, build_network, build_policy_artifacts
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> SimpleGraph:
@@ -95,6 +98,51 @@ def independence_number_enumeration(g: SimpleGraph) -> int:
                 best = size
                 break
     return best
+
+
+def is_proper(g: SimpleGraph, c: Coloring) -> bool:
+    """True iff no edge joins two vertices of equal color."""
+    if len(c) != g.n:
+        raise ValueError("coloring must cover every vertex")
+    same = c.colors[:, None] == c.colors[None, :]
+    return not np.any(same & g.adjacency)
+
+
+def max_degree(g: SimpleGraph) -> int:
+    return int(g.degrees().max()) if g.n else 0
+
+
+def clique_number(g: SimpleGraph, limit: int = EXACT_SOLVER_LIMIT) -> int:
+    """Exact omega(G) by pruned exhaustive subset search."""
+    if g.n > limit:
+        raise CapacityError(f"clique oracle limited to {limit} vertices, got {g.n}")
+    if g.n == 0:
+        return 0
+    adj = _adjacency_bits(g)
+    best = 0
+
+    def extend(size: int, cand: int) -> None:
+        nonlocal best
+        if size > best:
+            best = size
+        while cand:
+            if size + cand.bit_count() <= best:
+                return
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            extend(size + 1, cand & adj[v])
+
+    extend(0, (1 << g.n) - 1)
+    return best
+
+
+def independence_number(g: SimpleGraph, limit: int = EXACT_SOLVER_LIMIT) -> int:
+    """Exact alpha(G): the clique number of the complement graph."""
+    if g.n > limit:
+        raise CapacityError(f"independence oracle limited to {limit} vertices, got {g.n}")
+    comp = ~g.adjacency
+    np.fill_diagonal(comp, False)
+    return clique_number(SimpleGraph(g.n, comp), limit)
 
 
 @dataclass
@@ -276,7 +324,7 @@ def expected_hit_oracle(
     """Expected hit rate of one replication's placements, and the coverage ceiling.
 
     Stations come from ``build_network`` and each policy's placement from
-    ``build_policy_artifacts`` with the replication's policy substream, as in
+    ``build_policy_artifacts``, both given the replication seed, as in
     ``run_replication``. The users and requests are not drawn: the hit rate
     is the grid mean, over the cell, of the Zipf mass of the union of the
     caches of every station covering the point. Returns
@@ -292,10 +340,8 @@ def expected_hit_oracle(
         if len(sbs) == 0:
             hits.update({(policy, a): 0.0 for a in alphas})
             continue
-        s_policy = _substreams(rep_seed, 4)[2]
-        art = build_policy_artifacts(
-            dataclasses.replace(cfg, policy=policy), sbs, ranges, s_policy
-        )
+        cfg_policy = dataclasses.replace(cfg, policy=policy)
+        art = build_policy_artifacts(cfg_policy, sbs, ranges, rep_seed)
         files, share = reachable_files(cover, art.placement.caches, cfg.file_count)
         for a, pmf in pmfs.items():
             hits[(policy, a)] = float(share @ (files @ pmf))

@@ -16,13 +16,9 @@ import pytest
 
 from sbscache.cli import main
 from sbscache.coloring import (
-    clique_number,
     exact_min_coloring,
     greedy_color_by_degree,
     greedy_color_by_weight,
-    independence_number,
-    is_proper,
-    max_degree,
     VertexWeights,
 )
 from sbscache.geometry import (
@@ -46,7 +42,11 @@ from sbscache.sim import (
 
 from oracles import (
     chromatic_number_enumeration,
+    clique_number,
     expected_hit_oracle,
+    independence_number,
+    is_proper,
+    max_degree,
     min_pairwise_distance,
     random_simple_graph,
 )

@@ -306,6 +306,19 @@ def test_inspect_graph_rejects_baseline(tmp_path, capsys):
     assert "stage" in err and "baseline" in err
 
 
+def test_inspect_without_stations(tmp_path, capsys):
+    # no station means no classes to show; the placement is just its header
+    path = tmp_path / "empty.cfg"
+    path.write_text("n_sbs = 0\npolicy = matern_coloring\nmaster_seed = 1\n")
+    out = tmp_path / "classes.csv"
+    assert main(["inspect", str(path), "--emit", "classes", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "stage 'classes'" in captured.err and captured.out == ""
+    assert not out.exists()
+    assert main(["inspect", str(path), "--emit", "placement"]) == 0
+    assert capsys.readouterr().out == "sbs_id,file_rank\n"
+
+
 def test_inspect_writes_file(tmp_path):
     path = tmp_path / "pl.cfg"
     path.write_text("n_sbs = 3\nfile_count = 100\nmemory = 4\nmaster_seed = 1\n")

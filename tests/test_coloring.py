@@ -11,22 +11,22 @@ from sbscache.coloring import (
     CapacityError,
     Coloring,
     VertexWeights,
-    clique_number,
     coloring_to_csv,
     exact_min_coloring,
     greedy_color_by_degree,
     greedy_color_by_weight,
-    independence_number,
-    is_proper,
-    max_degree,
 )
 from sbscache.netgraph import SimpleGraph
 
 from oracles import (
     chromatic_number_enumeration,
+    clique_number,
     clique_number_enumeration,
     graph_from_edges,
+    independence_number,
     independence_number_enumeration,
+    is_proper,
+    max_degree,
     random_simple_graph,
 )
 

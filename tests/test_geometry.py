@@ -117,6 +117,24 @@ def test_distance_matrix_exactly_symmetric():
     assert np.all(np.diag(d) == 0.0)
 
 
+coords_lists = st.lists(
+    st.tuples(*[st.floats(-500.0, 500.0, allow_nan=False)] * 2), min_size=0, max_size=25
+)
+
+
+@given(coords_lists, coords_lists)
+@settings(max_examples=60, deadline=None)
+def test_distance_matrix_is_the_per_pair_formula(a_coords, b_coords):
+    a, b = ptset(a_coords), ptset(b_coords)
+    d = distance_matrix(a, b)
+    assert d.shape == (len(a_coords), len(b_coords))
+    for i, (ax, ay) in enumerate(a_coords):
+        for j, (bx, by) in enumerate(b_coords):
+            dx, dy = ax - bx, ay - by
+            assert d[i, j] == math.sqrt(dx * dx + dy * dy)  # bit for bit
+    assert np.array_equal(distance_matrix(a), distance_matrix(a, a))
+
+
 def test_point_set_rejects_outside_points():
     with pytest.raises(ValueError):
         ptset([(200, 0)], radius=100.0)

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbscache import netgraph
 from sbscache.geometry import PointSet, sample_binomial_disk
 from sbscache.netgraph import (
     CoverageRanges,
     SimpleGraph,
+    access_matrix,
     build_class_graph,
     build_sbs_weighted_graph,
     graph_to_edge_list,
@@ -126,9 +128,11 @@ def test_class_graph_rejects_asymmetric_membership():
 
 
 def test_access_map_out_of_range_user():
-    users, sbs = ptset([(90, 0)]), ptset([(0, 0)])
+    # the second user sits exactly at the range (a 48-64-80 triangle): covered
+    users, sbs = ptset([(90, 0), (48, 64)]), ptset([(0, 0)])
     amap = build_access_map(users, sbs, CoverageRanges(np.array([80.0])))
     assert amap.sets[0] == frozenset()
+    assert amap.sets[1] == frozenset({0})
 
 
 def test_access_map_dual_coverage():
@@ -136,6 +140,21 @@ def test_access_map_dual_coverage():
     sbs = ptset([(0, 0), (10, 0)])
     amap = build_access_map(users, sbs, CoverageRanges(np.array([80.0, 80.0])))
     assert amap.sets[0] == frozenset({0, 1})
+
+
+def test_access_matrix_uses_the_one_distance_kernel(monkeypatch):
+    calls = []
+    original = netgraph.distance_matrix
+
+    def counted(*args):
+        calls.append(tuple(len(p) for p in args))
+        return original(*args)
+
+    monkeypatch.setattr(netgraph, "distance_matrix", counted)
+    users, sbs = ptset([(5, 0), (90, 0), (0, 0)]), ptset([(0, 0), (10, 0)])
+    acc = access_matrix(users, sbs, CoverageRanges(np.array([80.0, 80.0])))
+    assert acc.tolist() == [[True, True], [False, True], [True, True]]
+    assert calls == [(3, 2)]
 
 
 def test_access_map_matches_brute_force_at_cell_scale():

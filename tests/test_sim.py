@@ -144,13 +144,13 @@ def test_vectorized_hits_match_delivery_map_semantics(
         policy=policy, r_class=40.0, **ranges,
     )
     rep_seed = replication_seeds(cfg.master_seed, 1)[0]
-    _, _, s_policy, s_rounds = _substreams(rep_seed, 4)
     sbs, sbs_ranges = build_network(cfg, rep_seed)
-    placement = build_policy_artifacts(cfg, sbs, sbs_ranges, s_policy).placement
-    measured = measure_hit_rate(cfg, sbs, sbs_ranges, placement, s_rounds)
+    placement = build_policy_artifacts(cfg, sbs, sbs_ranges, rep_seed).placement
+    measured = measure_hit_rate(cfg, sbs, sbs_ranges, placement, rep_seed)
 
     catalog = Catalog(cfg.file_count, cfg.alpha)
     hits = total = 0
+    s_rounds = _substreams(rep_seed, 4)[3]
     for round_seed in _substreams(s_rounds, cfg.n_rounds):
         s_users, s_requests = _substreams(round_seed, 2)
         users = sample_binomial_disk(n_users, cfg.cell_radius, s_users)
