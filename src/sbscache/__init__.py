@@ -15,11 +15,13 @@ from .geometry import (
     hard_core_neighbours,
     matern_type_i,
     matern_type_ii,
+    pairs_within,
     sample_binomial_disk,
 )
 from .netgraph import (
     CoverageRanges,
     SimpleGraph,
+    access_pairs,
     build_class_graph,
     build_sbs_weighted_graph,
     individual_thresholds,

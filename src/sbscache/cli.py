@@ -17,6 +17,7 @@ from .classify import classweights_to_csv
 from .coloring import coloring_to_csv
 from .netgraph import graph_to_edge_list
 from .placement import placement_to_csv
+from .popularity import Catalog
 from .sim import ScenarioConfig
 
 # Config file keys in canonical serialization order, and the sweep tokens
@@ -190,7 +191,8 @@ def cmd_inspect(ns: argparse.Namespace) -> int:
     try:
         sbs, ranges = sim.build_network(cfg, seed0)
         stage = ns.emit
-        artifact = getattr(sim.build_policy_artifacts(cfg, sbs, ranges, seed0), field)
+        catalog = Catalog(cfg.file_count, cfg.alpha)
+        artifact = getattr(sim.build_policy_artifacts(cfg, sbs, ranges, seed0, catalog), field)
         if artifact is None:
             what = field.replace("_", " ")
             raise ValueError(f"policy '{cfg.policy}' on {len(sbs)} SBSs builds no {what}")

@@ -67,6 +67,72 @@ def distance_matrix(a: PointSet, b: PointSet | None = None) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)
 
 
+def pairs_within(a: PointSet, b: PointSet, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays ``(i, j)`` of every pair with ``d(a_i, b_j) <= radius[j]``.
+
+    The distance is ``distance_matrix``'s formula in the same operand order,
+    so the pair set equals ``np.nonzero(distance_matrix(a, b) <= radius)``
+    bit for bit, without building the dense matrix. Both point sets are
+    binned on a grid anchored at -region_radius whose side is at least
+    max(radius) (a cell list), so a pair within range lies in the same or an
+    adjacent bin. Keys run column-major with one padding bin on each side:
+    a point's three y-neighbour bins in each x-column are one contiguous
+    slice of the key-sorted ``b``, bounded through a prefix-sum table. Each
+    x-column's candidates are filtered before the next column's are built.
+    Pairs come out grouped by x-column, not sorted.
+    """
+    radius = np.asarray(radius, dtype=float)
+    if radius.shape != (len(b),):
+        raise ValueError("need one radius per point of b")
+    if len(a) == 0 or len(b) == 0:
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty
+    span = 2.0 * max(a.region_radius, b.region_radius)
+    # The margin keeps pairs at exactly max(radius) in adjacent bins despite
+    # rounding; the floor on the side keeps the key table at a few entries
+    # per point when the ranges are far below the point spacing.
+    side = max(float(radius.max()) * (1.0 + 1e-9), span / (2 * math.isqrt(len(a) + len(b)) + 1))
+    nbins = int(span // side) + 1
+    width = nbins + 2
+
+    def keys(xy: np.ndarray) -> np.ndarray:
+        # truncation is a monotone floor here: points lie at most a rounding
+        # error below the grid's origin
+        cell = ((xy + span / 2.0) * (1.0 / side)).astype(np.intp)
+        np.minimum(cell, nbins - 1, out=cell)
+        return (cell[:, 0] + 1) * width + cell[:, 1] + 1
+
+    kb = keys(b.xy)
+    order = np.argsort(kb, kind="stable")
+    starts = np.zeros(width * width + 1, dtype=np.intp)
+    np.cumsum(np.bincount(kb, minlength=width * width), out=starts[1:])
+    bx, by, br = b.xy[order, 0], b.xy[order, 1], radius[order]
+    ax, ay = a.xy[:, 0], a.xy[:, 1]
+    ka = keys(a.xy)
+    out_i, out_j = [], []
+    for shift in (-width, 0, width):
+        lo = starts[ka + shift - 1]
+        counts = starts[ka + shift + 2] - lo
+        i = np.repeat(np.arange(len(a)), counts)
+        # position in the sorted b: the slice start of the pair's point plus
+        # the pair's rank within that slice
+        lo -= np.cumsum(counts) - counts
+        pos = lo[i]
+        pos += np.arange(pos.size)
+        dx = ax[i]
+        dx -= bx[pos]
+        dy = ay[i]
+        dy -= by[pos]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        np.sqrt(dx, out=dx)
+        near = np.flatnonzero(dx <= br[pos])
+        out_i.append(i[near])
+        out_j.append(order[pos[near]])
+    return np.concatenate(out_i), np.concatenate(out_j)
+
+
 def hard_core_neighbours(d: np.ndarray, hard_distance: float) -> np.ndarray:
     """From a distance matrix: ``near[i, j]`` iff i != j and ``d[i, j] <= hard_distance``."""
     if not hard_distance > 0:

@@ -1,8 +1,8 @@
 """The network's graph structures in adjacency form.
 
 The conflict graph that the SBS-to-SBS distances give under a threshold,
-the proximity-class graph, and the user-to-SBS access matrix, all from
-``geometry.distance_matrix``.
+the proximity-class graph from ``geometry.distance_matrix``, and the
+user-to-SBS access pairs from the sparse ``geometry.pairs_within``.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointSet, distance_matrix
+from .geometry import PointSet, distance_matrix, pairs_within
 
 
 @dataclass
@@ -104,11 +104,13 @@ def build_class_graph(classes: np.ndarray) -> SimpleGraph:
     return SimpleGraph(adj.shape[0], adj)
 
 
-def access_matrix(users: PointSet, sbs: PointSet, ranges: CoverageRanges) -> np.ndarray:
-    """Boolean (n_users, n_sbs) matrix: user u can reach SBS j iff d(u, S_j) <= R_j."""
+def access_pairs(
+    users: PointSet, sbs: PointSet, ranges: CoverageRanges
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays ``(u, j)`` of every user u that can reach SBS j: d(u, S_j) <= R_j."""
     if len(ranges) != len(sbs):
         raise ValueError("ranges length must equal SBS count")
-    return distance_matrix(users, sbs) <= ranges.ranges[None, :]
+    return pairs_within(users, sbs, ranges.ranges)
 
 
 def graph_to_edge_list(g: SimpleGraph) -> str:

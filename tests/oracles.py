@@ -5,11 +5,13 @@ from exhaustive enumeration of canonical colorings, clique / independent-set
 sizes from full subset scans, cache blocks from a rank-by-rank loop, per-user
 delivery from set unions, and expected hit rates from integrating over a grid
 of the cell instead of drawing users and requests. The exceptions are the
-access sets, which read the production access matrix (the netgraph tests
-check that matrix against a per-pair distance scan), the class weights,
-which reuse the production mark draws (but not the thinnings), and the
-pruned clique search, which reads the exact solver's bit-packed adjacency
-(the coloring tests check it against the full subset scans).
+access sets, which read a dense access matrix over the production distance
+kernel (the netgraph tests check that matrix against a per-pair distance
+scan, and the geometry tests check the sparse pair kernel against it), the
+class weights, which reuse the production mark draws (but not the
+thinnings), and the pruned clique search, which reads the exact solver's
+bit-packed adjacency (the coloring tests check it against the full subset
+scans).
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import numpy as np
 
 from sbscache.classify import _fresh_marks
 from sbscache.coloring import EXACT_SOLVER_LIMIT, CapacityError, Coloring, _adjacency_bits
-from sbscache.geometry import PointSet
-from sbscache.netgraph import CoverageRanges, SimpleGraph, access_matrix
+from sbscache.geometry import PointSet, distance_matrix
+from sbscache.netgraph import CoverageRanges, SimpleGraph
+from sbscache.popularity import Catalog
 from sbscache.sim import ScenarioConfig, build_network, build_policy_artifacts
 
 
@@ -163,6 +166,13 @@ class DeliveryMap:
     """For each user, the file ranks reachable through some accessible cache."""
 
     sets: tuple[frozenset[int], ...]
+
+
+def access_matrix(users: PointSet, sbs: PointSet, ranges: CoverageRanges) -> np.ndarray:
+    """Dense boolean (n_users, n_sbs) matrix: user u can reach SBS j iff d(u, S_j) <= R_j."""
+    if len(ranges) != len(sbs):
+        raise ValueError("ranges length must equal SBS count")
+    return distance_matrix(users, sbs) <= ranges.ranges[None, :]
 
 
 def build_access_map(users: PointSet, sbs: PointSet, ranges: CoverageRanges) -> AccessMap:
@@ -335,13 +345,14 @@ def expected_hit_oracle(
     multiplicity = cover.sum(axis=1)
     pmfs = {a: zipf_pmf_table(cfg.file_count, a) for a in alphas}
     ceilings = {a: coverage_ceiling(multiplicity, cfg.memory, pmf) for a, pmf in pmfs.items()}
+    catalog = Catalog(cfg.file_count, cfg.alpha)
     hits = {}
     for policy in policies:
         if len(sbs) == 0:
             hits.update({(policy, a): 0.0 for a in alphas})
             continue
         cfg_policy = dataclasses.replace(cfg, policy=policy)
-        art = build_policy_artifacts(cfg_policy, sbs, ranges, rep_seed)
+        art = build_policy_artifacts(cfg_policy, sbs, ranges, rep_seed, catalog)
         files, share = reachable_files(cover, art.placement.caches, cfg.file_count)
         for a, pmf in pmfs.items():
             hits[(policy, a)] = float(share @ (files @ pmf))

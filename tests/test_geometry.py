@@ -1,10 +1,11 @@
 """Disk sampling and Matern thinning behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbscache.geometry import (
@@ -13,6 +14,7 @@ from sbscache.geometry import (
     hard_core_neighbours,
     matern_type_i,
     matern_type_ii,
+    pairs_within,
     sample_binomial_disk,
 )
 
@@ -133,6 +135,123 @@ def test_distance_matrix_is_the_per_pair_formula(a_coords, b_coords):
             dx, dy = ax - bx, ay - by
             assert d[i, j] == math.sqrt(dx * dx + dy * dy)  # bit for bit
     assert np.array_equal(distance_matrix(a), distance_matrix(a, a))
+
+
+def assert_dense_pairs(a, b, radius):
+    """``pairs_within`` gives exactly the ordered pairs of the dense threshold, none twice."""
+    i, j = pairs_within(a, b, radius)
+    ei, ej = np.nonzero(distance_matrix(a, b) <= radius[None, :])
+    assert sorted(zip(i.tolist(), j.tolist())) == list(zip(ei.tolist(), ej.tolist()))
+
+
+@st.composite
+def pair_kernel_inputs(draw):
+    """Users, stations and per-station ranges placed where a cell list can go wrong.
+
+    Stations come from one of four layouts: anywhere in the disk, all in one
+    small bin, on or one ulp off the kernel's grid-bin edges
+    (-region_radius + k*h with h the largest range), or on the cell rim.
+    Ranges are fixed or drawn from an interval. Users are anywhere, near bin
+    edges or on the rim, plus some at exactly the range of a few stations:
+    along the axes (exact for integer coordinates) and on a 3-4-5 diagonal.
+    """
+    region = draw(st.sampled_from([100.0, 350.0]))
+    n_sbs = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        ranges = np.full(n_sbs, float(draw(st.integers(5, 60)) * 5 * region / 350.0))
+    else:
+        ranges = np.array(draw(st.lists(st.floats(0.05 * region, 0.6 * region),
+                                        min_size=n_sbs, max_size=n_sbs)))
+    h = float(ranges.max()) * (1.0 + 1e-9) if n_sbs else region
+
+    def layout(n, kind):
+        if kind == "disk":
+            rho = np.sqrt(draw(st.lists(st.floats(0, 1), min_size=n, max_size=n)))
+            theta = np.array(draw(st.lists(st.floats(0, 2 * math.pi), min_size=n, max_size=n)))
+            return region * np.column_stack((rho * np.cos(theta), rho * np.sin(theta)))
+        if kind == "bin":
+            corner = draw(st.integers(0, int(region // h))) * h - region
+            frac = draw(st.lists(st.tuples(st.floats(0, 0.5), st.floats(0, 0.5)),
+                                 min_size=n, max_size=n))
+            return corner + h * np.array(frac).reshape(-1, 2)
+        if kind == "edges":
+            k = draw(st.lists(st.tuples(st.integers(0, int(2 * region // h) + 1),
+                                        st.integers(0, int(2 * region // h) + 1)),
+                              min_size=n, max_size=n))
+            xy = np.array(k, dtype=float).reshape(-1, 2) * h - region
+            # one ulp either side of an edge flips the bin
+            nudge = draw(st.lists(st.sampled_from([-np.inf, 0.0, np.inf]), min_size=2 * n,
+                                  max_size=2 * n))
+            return np.nextafter(xy, np.array(nudge).reshape(-1, 2) + xy)
+        theta = np.array(draw(st.lists(st.floats(0, 2 * math.pi), min_size=n, max_size=n)))
+        return region * np.column_stack((np.cos(theta), np.sin(theta)))
+
+    kinds = ("disk", "bin", "edges", "rim")
+    sbs_xy = layout(n_sbs, draw(st.sampled_from(kinds)))
+    if draw(st.booleans()):  # integer station coordinates, so axis offsets stay exact
+        sbs_xy = np.round(sbs_xy)
+    users_xy = layout(draw(st.integers(0, 30)), draw(st.sampled_from(("disk", "edges", "rim"))))
+    at_range = []
+    for j in draw(st.lists(st.integers(0, max(n_sbs - 1, 0)), max_size=4 if n_sbs else 0)):
+        r = ranges[j]
+        at_range += [sbs_xy[j] + (r, 0.0), sbs_xy[j] - (r, 0.0), sbs_xy[j] - (0.0, r),
+                     sbs_xy[j] + (0.6 * r, 0.8 * r)]
+    users_xy = np.vstack([users_xy.reshape(-1, 2)] + [np.array(at_range).reshape(-1, 2)])
+
+    def inside(xy):
+        return xy[:, 0] ** 2 + xy[:, 1] ** 2 <= region * region
+
+    on = inside(sbs_xy)
+    users = PointSet(users_xy[inside(users_xy)], region)
+    return users, PointSet(sbs_xy[on], region), ranges[on]
+
+
+@given(pair_kernel_inputs())
+@example((ptset([(0.0, 0.0)], 100.0), ptset([], 100.0), np.empty(0)))
+@example((ptset([], 100.0), ptset([(0.0, 0.0)], 100.0), np.array([10.0])))
+@example((ptset([(80.0, 0.0), (48.0, 64.0), (57.0, 57.0)], 350.0), ptset([(0.0, 0.0)], 350.0),
+          np.array([80.0])))
+@settings(max_examples=300, deadline=None)
+def test_pairs_within_is_the_dense_threshold(inputs):
+    a, b, radius = inputs
+    assert_dense_pairs(a, b, radius)
+
+
+@pytest.mark.parametrize("region", [100.0, 350.0])
+def test_pairs_within_finds_pairs_at_exactly_the_range_across_bin_edges(region):
+    # stations on each grid-bin edge and one ulp either side, for bins of
+    # side r and r * (1 + 1e-9), and users at exactly the range along x:
+    # rounding must not push a pair two bins apart
+    for r in np.arange(5, 61) * 5 * region / 350:
+        k = np.arange(int(2 * region // r) + 2)
+        edges = np.concatenate([k * r, k * (r * (1.0 + 1e-9))]) - region
+        xs = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+        xs = xs[np.abs(xs) <= region]
+        xu = np.concatenate([xs - r, xs + r])
+        xu = xu[np.abs(xu) <= region]
+        a = PointSet(np.column_stack((xu, np.zeros_like(xu))), region)
+        b = PointSet(np.column_stack((xs, np.zeros_like(xs))), region)
+        assert_dense_pairs(a, b, np.full(len(b), r))
+
+
+def test_pairs_within_key_table_scales_with_the_points_not_the_range():
+    # bins of side 1 m would key 703^2 slots (4 MB) for a 350 m cell; bins
+    # are widened instead, since a range far below the point spacing is a
+    # valid config (sbs_range > 0 is all that validate() asks)
+    a = sample_binomial_disk(100, 350.0, seed=3)
+    b = sample_binomial_disk(50, 350.0, seed=4)
+    tracemalloc.start()
+    try:
+        assert_dense_pairs(a, b, np.full(50, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_pairs_within_rejects_a_range_count_mismatch():
+    with pytest.raises(ValueError):
+        pairs_within(ptset([(0, 0)]), ptset([(1, 0), (2, 0)]), np.array([5.0]))
 
 
 def test_point_set_rejects_outside_points():

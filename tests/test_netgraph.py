@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbscache import netgraph
 from sbscache.geometry import PointSet, sample_binomial_disk
 from sbscache.netgraph import (
     CoverageRanges,
     SimpleGraph,
-    access_matrix,
+    access_pairs,
     build_class_graph,
     build_sbs_weighted_graph,
     graph_to_edge_list,
@@ -20,7 +19,8 @@ from sbscache.netgraph import (
 )
 from sbscache.placement import Placement, placement_matrix, placement_to_csv
 
-from oracles import AccessMap, build_access_map, build_delivery_map, random_simple_graph
+import oracles
+from oracles import AccessMap, access_matrix, build_access_map, build_delivery_map, random_simple_graph
 
 
 def ptset(coords, radius=1000.0):
@@ -144,17 +144,30 @@ def test_access_map_dual_coverage():
 
 def test_access_matrix_uses_the_one_distance_kernel(monkeypatch):
     calls = []
-    original = netgraph.distance_matrix
+    original = oracles.distance_matrix
 
     def counted(*args):
         calls.append(tuple(len(p) for p in args))
         return original(*args)
 
-    monkeypatch.setattr(netgraph, "distance_matrix", counted)
+    monkeypatch.setattr(oracles, "distance_matrix", counted)
     users, sbs = ptset([(5, 0), (90, 0), (0, 0)]), ptset([(0, 0), (10, 0)])
     acc = access_matrix(users, sbs, CoverageRanges(np.array([80.0, 80.0])))
     assert acc.tolist() == [[True, True], [False, True], [True, True]]
     assert calls == [(3, 2)]
+
+
+def test_access_pairs_are_the_dense_access_matrix():
+    users = sample_binomial_disk(1000, 350.0, seed=12)
+    sbs = sample_binomial_disk(48, 350.0, seed=13)
+    ranges = CoverageRanges(np.random.default_rng(14).uniform(50.0, 100.0, 48))
+    u, j = access_pairs(users, sbs, ranges)
+    acc = np.zeros((1000, 48), dtype=bool)
+    acc[u, j] = True
+    assert u.size == acc.sum()  # no pair twice
+    assert np.array_equal(acc, access_matrix(users, sbs, ranges))
+    with pytest.raises(ValueError):
+        access_pairs(users, sbs, CoverageRanges(np.full(47, 80.0)))
 
 
 def test_access_map_matches_brute_force_at_cell_scale():

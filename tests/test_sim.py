@@ -1,12 +1,14 @@
 """Replication pipeline, aggregation, sweeps, and their invariants."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sbscache import sim
 from sbscache.classify import ConvergenceError
 from sbscache.geometry import sample_binomial_disk
 from sbscache.netgraph import build_sbs_weighted_graph, threshold_graph
@@ -145,10 +147,10 @@ def test_vectorized_hits_match_delivery_map_semantics(
     )
     rep_seed = replication_seeds(cfg.master_seed, 1)[0]
     sbs, sbs_ranges = build_network(cfg, rep_seed)
-    placement = build_policy_artifacts(cfg, sbs, sbs_ranges, rep_seed).placement
-    measured = measure_hit_rate(cfg, sbs, sbs_ranges, placement, rep_seed)
-
     catalog = Catalog(cfg.file_count, cfg.alpha)
+    placement = build_policy_artifacts(cfg, sbs, sbs_ranges, rep_seed, catalog).placement
+    measured = measure_hit_rate(cfg, sbs, sbs_ranges, placement, rep_seed, catalog)
+
     hits = total = 0
     s_rounds = _substreams(rep_seed, 4)[3]
     for round_seed in _substreams(s_rounds, cfg.n_rounds):
@@ -160,6 +162,50 @@ def test_vectorized_hits_match_delivery_map_semantics(
         hits += sum(int(rank) in delivery.sets[i // q] for i, rank in enumerate(ranks))
         total += len(ranks)
     assert measured == (hits / total if total else 0.0)
+
+
+@pytest.mark.parametrize("n_rounds", [1, 3, 10])
+def test_measure_stage_makes_one_access_call_per_replication(monkeypatch, n_rounds):
+    """All rounds' users go through one ``access_pairs`` call.
+
+    Keep the batching. A per-round loop over the same kernel was faster on
+    one thread (61 -> 68 replications/s at 48 SBS), but under the fig3
+    sweep's 2-thread pool it doubled the sweep's wall time, from 2.0-2.3 s
+    to 3.7-4.5 s on a 2-core host: its ~25 short numpy calls per round
+    convoy on the GIL.
+    """
+    calls = []
+    original = sim.access_pairs
+
+    def counted(users, sbs, ranges):
+        calls.append(len(users))
+        return original(users, sbs, ranges)
+
+    monkeypatch.setattr(sim, "access_pairs", counted)
+    cfg = dataclasses.replace(SMALL, n_rounds=n_rounds, replications=2)
+    run_scenario(cfg)
+    assert calls == [n_rounds * cfg.n_users] * 2
+
+
+def test_measure_stage_builds_no_dense_user_station_array():
+    # one dense n_users x n_sbs float64 array is 38.4 MB here; the pair kernel
+    # peaks at a few MB. Not run at city scale (4800 x 10^5): a dense
+    # regression there would try to allocate ~15 GB instead of failing.
+    cfg = ScenarioConfig(
+        cell_radius=1106.797181058933, n_sbs=480, n_users=10_000, n_rounds=1,
+        replications=1, policy="baseline",
+    )
+    rep_seed = replication_seeds(cfg.master_seed, 1)[0]
+    catalog = Catalog(cfg.file_count, cfg.alpha)
+    sbs, ranges = build_network(cfg, rep_seed)
+    placement = build_policy_artifacts(cfg, sbs, ranges, rep_seed, catalog).placement
+    tracemalloc.start()
+    try:
+        measure_hit_rate(cfg, sbs, ranges, placement, rep_seed, catalog)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cfg.n_users * cfg.n_sbs * 8
 
 
 def test_replication_errors_carry_context():
