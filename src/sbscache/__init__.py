@@ -11,8 +11,6 @@ from .coloring import (
 )
 from .geometry import (
     PointSet,
-    distance_matrix,
-    hard_core_neighbours,
     matern_type_i,
     matern_type_ii,
     pairs_within,
@@ -23,7 +21,6 @@ from .netgraph import (
     SimpleGraph,
     access_pairs,
     build_class_graph,
-    build_sbs_weighted_graph,
     individual_thresholds,
     threshold_graph,
     universal_threshold,

@@ -14,15 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    PointSet,
-    distance_matrix,
-    hard_core_neighbours,
-    matern_type_i,
-    matern_type_ii,
-)
+from .geometry import PointSet, matern_type_i, matern_type_ii, pairs_within
 
 SURVIVOR_COUNTINGS = ("double", "single")
+
+# perfbench/spans.py times the station pair kernel as ``classify.distance_matrix``.
+distance_matrix = pairs_within
 
 
 class ConvergenceError(RuntimeError):
@@ -34,22 +31,25 @@ class ConvergenceError(RuntimeError):
             f"weights still zero after iteration budget: indices {self.zero_weight_indices}"
         )
 
+    def __reduce__(self):
+        return type(self), (self.zero_weight_indices,)
+
 
 @dataclass
 class ClassWeights:
-    """Per-SBS positive integer weight; ``classes[i, j]`` iff j is in i's class (i in its own)."""
+    """Per-SBS positive integer weight; ``classes`` = pairs (i, j), j in i's class, i in its own."""
 
-    classes: np.ndarray
+    classes: tuple[np.ndarray, np.ndarray]
     weights: np.ndarray
     iterations_used: int
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=int).reshape(-1)
-        self.classes = np.asarray(self.classes, dtype=bool)
-        n = self.weights.shape[0]
-        if self.classes.shape != (n, n):
-            raise ValueError("classes must be an n x n matrix for n weights")
-        if not np.all(np.diag(self.classes)):
+        n = self.weights.size
+        i, j = self.classes = tuple(np.asarray(a, dtype=np.intp) for a in self.classes)
+        if i.shape != j.shape or np.any((np.minimum(i, j) < 0) | (np.maximum(i, j) >= n)):
+            raise ValueError("class pairs must index the n weighted stations")
+        if np.unique(i[i == j]).size != n:
             raise ValueError("each class must contain its own station")
 
 
@@ -73,11 +73,13 @@ def classify_and_weigh(
 ) -> ClassWeights:
     """Build classes by distance and accumulate weights until all are positive.
 
-    Both thinnings read one hard-core neighbour matrix at distance
-    2 * r_class, derived from the same distances as the classes. The type-I
-    survivors depend on geometry only, so they are computed once; each
-    iteration adds the type-II survivors under fresh marks. Every survivor
-    then bumps the weight of every member of its class. With
+    The classes are the station pairs within r_class; both thinnings read
+    the hard-core pairs within 2 * r_class. Each comes from one pair-kernel
+    call, whatever the number of iterations. The type-I survivors depend on
+    geometry only, so they are computed once; each iteration adds the
+    type-II survivors under fresh marks. Every survivor then bumps the
+    weight of every member of its class: a bincount over the class pairs,
+    weighted by how often each station survived. With
     ``survivor_counting="double"`` (default) a station appearing in both
     survivor sets triggers one increment pass per set; ``"single"`` counts
     the union once, for sensitivity checks.
@@ -95,15 +97,15 @@ def classify_and_weigh(
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
 
-    d = distance_matrix(sbs)
-    classes = d <= r_class
-    near = hard_core_neighbours(d, 2.0 * r_class)
+    classes = distance_matrix(sbs, sbs, np.full(n, float(r_class)))
+    hi, hj = distance_matrix(sbs, sbs, np.full(n, 2.0 * r_class))
+    near = hi[hi != hj], hj[hi != hj]
     weights = np.zeros(n, dtype=int)
     if n == 0:
         return ClassWeights(classes, weights, 0)
 
     rng = np.random.default_rng(seed)
-    survivors_i = matern_type_i(near)
+    survivors_i = matern_type_i(near, n)
     for iteration in range(1, max_iterations + 1):
         marks = _fresh_marks(rng, n)
         survivors_ii = matern_type_ii(near, marks)
@@ -112,16 +114,19 @@ def classify_and_weigh(
         else:
             passes = np.union1d(survivors_i, survivors_ii)
         # a station listed twice credits its class twice
-        weights += classes[passes].sum(axis=0)
+        credit = np.bincount(passes, minlength=n)[classes[0]]
+        weights += np.bincount(classes[1], weights=credit, minlength=n).astype(int)
         if np.all(weights > 0):
             return ClassWeights(classes, weights, iteration)
     raise ConvergenceError(np.flatnonzero(weights == 0))
 
 
 def classweights_to_csv(cw: ClassWeights) -> str:
+    i, j = cw.classes
+    order = np.lexsort((j, i))
+    members = np.split(j[order], np.cumsum(np.bincount(i, minlength=len(cw.weights)))[:-1])
     buf = io.StringIO()
     buf.write("sbs_id,weight,class_members\n")
-    for i, row in enumerate(cw.classes):
-        joined = ";".join(str(j) for j in np.flatnonzero(row))
-        buf.write(f"{i},{int(cw.weights[i])},{joined}\n")
+    for v, row in enumerate(members):
+        buf.write(f"{v},{int(cw.weights[v])},{';'.join(map(str, row.tolist()))}\n")
     return buf.getvalue()

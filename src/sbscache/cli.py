@@ -102,18 +102,8 @@ def parse_config_file(path: str, overrides: dict[str, str] | None = None) -> Sce
 
 def config_to_text(cfg: ScenarioConfig) -> str:
     """Serialize so that parsing the result reproduces an equal config."""
-    lines = []
-    for key in CONFIG_KEYS:
-        value = getattr(cfg, key)
-        if value is None:
-            continue
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
-
-
-def run_result_csv(cfg: ScenarioConfig, result: sim.SimResult) -> str:
-    row = sim.result_row(cfg.policy, result, cfg.replications, cfg.master_seed)
-    return sim.RESULT_CSV_HEADER + "\n" + row + "\n"
+    values = ((key, getattr(cfg, key)) for key in CONFIG_KEYS)
+    return "".join(f"{key} = {value}\n" for key, value in values if value is not None)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -139,7 +129,8 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
 def cmd_run(ns: argparse.Namespace) -> int:
     cfg = parse_config_file(ns.config, _collect_overrides(ns))
     result = sim.run_scenario(cfg, workers=ns.workers)
-    sys.stdout.write(run_result_csv(cfg, result))
+    row = sim.result_row(cfg.policy, result, cfg.replications, cfg.master_seed)
+    sys.stdout.write(sim.RESULT_CSV_HEADER + "\n" + row + "\n")
     return 0
 
 

@@ -63,39 +63,39 @@ class VertexWeights:
 
 def _greedy_in_order(g: SimpleGraph, order) -> Coloring:
     """Smallest feasible color along the given vertex order."""
-    colors = np.zeros(g.n, dtype=int)
+    ptr, nbr = g.indptr.tolist(), g.indices.tolist()
+    colors = [0] * g.n
     for v in order:
-        banned = set(colors[u] for u in np.flatnonzero(g.adjacency[v]) if colors[u])
+        banned = {colors[u] for u in nbr[ptr[v] : ptr[v + 1]]}
         c = 1
         while c in banned:
             c += 1
         colors[v] = c
-    k = int(colors.max()) if g.n else 0
-    return Coloring(colors, k)
+    return Coloring(np.array(colors, dtype=int), max(colors, default=0))
 
 
 def greedy_color_by_degree(g: SimpleGraph) -> Coloring:
     """Color in descending static-degree order, ties broken by vertex index."""
-    deg = g.degrees()
-    order = sorted(range(g.n), key=lambda v: (-int(deg[v]), v))
-    return _greedy_in_order(g, order)
+    # a stable sort keeps equal degrees in index order
+    return _greedy_in_order(g, np.argsort(-g.degrees(), kind="stable").tolist())
 
 
 def greedy_color_by_weight(g: SimpleGraph, w: VertexWeights) -> Coloring:
     """Color in descending weight order, ties broken by vertex index."""
     if len(w) != g.n:
         raise ValueError("weights length must equal vertex count")
-    order = sorted(range(g.n), key=lambda v: (-int(w.weights[v]), v))
-    return _greedy_in_order(g, order)
+    return _greedy_in_order(g, np.argsort(-w.weights, kind="stable").tolist())
 
 
 def _adjacency_bits(g: SimpleGraph) -> list[int]:
-    return [int.from_bytes(np.packbits(g.adjacency[v], bitorder="little").tobytes(), "little")
-            for v in range(g.n)]
+    """Row v as an int whose bit u is set iff u is a neighbour of v."""
+    ptr, nbr = g.indptr.tolist(), g.indices.tolist()
+    return [sum(1 << u for u in nbr[ptr[v] : ptr[v + 1]]) for v in range(g.n)]
 
 
 def _components(g: SimpleGraph) -> list[list[int]]:
-    seen = np.zeros(g.n, dtype=bool)
+    ptr, nbr = g.indptr.tolist(), g.indices.tolist()
+    seen = [False] * g.n
     comps = []
     for start in range(g.n):
         if seen[start]:
@@ -105,10 +105,10 @@ def _components(g: SimpleGraph) -> list[list[int]]:
         while stack:
             v = stack.pop()
             comp.append(v)
-            for u in np.flatnonzero(g.adjacency[v]):
+            for u in nbr[ptr[v] : ptr[v + 1]]:
                 if not seen[u]:
                     seen[u] = True
-                    stack.append(int(u))
+                    stack.append(u)
         comps.append(sorted(comp))
     return comps
 
@@ -177,8 +177,7 @@ def exact_min_coloring(g: SimpleGraph, limit: int = EXACT_SOLVER_LIMIT) -> Color
                 for pos, v in enumerate(order):
                     colors[v] = assignment[pos]
                 break
-    k = int(colors.max()) if g.n else 0
-    return Coloring(colors, k)
+    return Coloring(colors, int(colors.max(initial=0)))
 
 
 def coloring_to_csv(c: Coloring) -> str:

@@ -1,4 +1,8 @@
-"""Point configurations in a disk cell and Matern thinnings on a hard-core neighbour matrix.
+"""Point configurations in a disk cell, the pair kernel, and Matern thinnings.
+
+``pairs_within`` gives every pair of points within range of each other, as
+index arrays; station relations and user access both read it, and the
+Matern thinnings read its hard-core pairs.
 
 Everything here is a pure function of its inputs; randomness enters only
 through explicit seeds, so any sample is bit-reproducible.
@@ -59,20 +63,13 @@ def sample_binomial_disk(n: int, region_radius: float, seed: RngSeed) -> PointSe
     return PointSet(xy, region_radius)
 
 
-def distance_matrix(a: PointSet, b: PointSet | None = None) -> np.ndarray:
-    """Euclidean distances from each point of ``a`` to each point of ``b`` (default: ``a``)."""
-    b = a if b is None else b
-    dx = a.xy[:, 0, None] - b.xy[None, :, 0]
-    dy = a.xy[:, 1, None] - b.xy[None, :, 1]
-    return np.sqrt(dx * dx + dy * dy)
-
-
 def pairs_within(a: PointSet, b: PointSet, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays ``(i, j)`` of every pair with ``d(a_i, b_j) <= radius[j]``.
 
-    The distance is ``distance_matrix``'s formula in the same operand order,
-    so the pair set equals ``np.nonzero(distance_matrix(a, b) <= radius)``
-    bit for bit, without building the dense matrix. Both point sets are
+    The distance is ``sqrt(dx*dx + dy*dy)`` with ``dx = a_x - b_x`` and
+    ``dy = a_y - b_y``, so the pair set is that of the dense per-pair
+    threshold bit for bit, and ``pairs_within(a, a, r)`` is symmetric when
+    ``r`` is uniform: (x - y)**2 == (y - x)**2. Both point sets are
     binned on a grid anchored at -region_radius whose side is at least
     max(radius) (a cell list), so a pair within range lies in the same or an
     adjacent bin. Keys run column-major with one padding bin on each side:
@@ -133,33 +130,26 @@ def pairs_within(a: PointSet, b: PointSet, radius: np.ndarray) -> tuple[np.ndarr
     return np.concatenate(out_i), np.concatenate(out_j)
 
 
-def hard_core_neighbours(d: np.ndarray, hard_distance: float) -> np.ndarray:
-    """From a distance matrix: ``near[i, j]`` iff i != j and ``d[i, j] <= hard_distance``."""
-    if not hard_distance > 0:
-        raise ValueError("hard_distance must be positive")
-    near = d <= hard_distance
-    np.fill_diagonal(near, False)
-    return near
+def matern_type_i(near: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
+    """Type-I thinning of n points: keep the points with no hard-core neighbour.
 
-
-def matern_type_i(near: np.ndarray) -> np.ndarray:
-    """Type-I thinning: keep the points with no hard-core neighbour.
-
-    ``near`` comes from ``hard_core_neighbours``, so a competitor at exactly
-    the hard distance eliminates both points. Returns sorted indices.
+    ``near`` holds the ordered pairs ``(i, j)``, i != j, of points within the
+    hard distance, both orders present (the pairs of ``pairs_within`` at the
+    hard distance, self-pairs dropped), so a competitor at exactly the hard
+    distance eliminates both points. Returns sorted indices.
     """
-    return np.flatnonzero(~near.any(axis=1))
+    return np.flatnonzero(np.bincount(near[0], minlength=n) == 0)
 
 
-def matern_type_ii(near: np.ndarray, marks: np.ndarray) -> np.ndarray:
+def matern_type_ii(near: tuple[np.ndarray, np.ndarray], marks: np.ndarray) -> np.ndarray:
     """Type-II thinning: keep the points whose mark is strictly smallest locally.
 
-    A point survives iff its mark is strictly below the mark of every
-    hard-core neighbour in ``near``. Marks must be pairwise distinct so the
+    Point i is eliminated iff some hard-core pair ``(i, j)`` of ``near`` has
+    ``marks[j] < marks[i]``. Marks must be pairwise distinct so the
     comparison is never ambiguous.
     """
-    if marks.shape != near.shape[:1]:
-        raise ValueError("need one mark per point")
     if np.unique(marks).size != marks.size:
         raise ValueError("marks must be pairwise distinct")
-    return np.flatnonzero(~(near & (marks[None, :] < marks[:, None])).any(axis=1))
+    i, j = near
+    beaten = i[marks[j] < marks[i]]
+    return np.flatnonzero(np.bincount(beaten, minlength=marks.size) == 0)

@@ -1,8 +1,8 @@
-"""The network's graph structures in adjacency form.
+"""The network's graph structures as neighbour lists.
 
 The conflict graph that the SBS-to-SBS distances give under a threshold,
-the proximity-class graph from ``geometry.distance_matrix``, and the
-user-to-SBS access pairs from the sparse ``geometry.pairs_within``.
+the proximity-class graph, and the user-to-SBS access pairs: every relation
+comes from the sparse pair kernel ``geometry.pairs_within``.
 """
 
 from __future__ import annotations
@@ -11,31 +11,55 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointSet, distance_matrix, pairs_within
+from .geometry import PointSet, pairs_within
 
 
 @dataclass
 class SimpleGraph:
-    """Boolean adjacency matrix, symmetric and irreflexive."""
+    """Undirected simple graph as CSR neighbour lists, built by ``from_pairs``.
 
-    n: int
-    adjacency: np.ndarray
+    The neighbours of v are ``indices[indptr[v]:indptr[v + 1]]``, ascending.
+    """
 
-    def __post_init__(self):
-        self.adjacency = np.asarray(self.adjacency, dtype=bool)
-        if self.adjacency.shape != (self.n, self.n):
-            raise ValueError("adjacency must be n x n")
-        if self.n and not np.array_equal(self.adjacency, self.adjacency.T):
-            raise ValueError("adjacency must be symmetric")
-        if self.n and np.any(np.diag(self.adjacency)):
-            raise ValueError("adjacency diagonal must be false")
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def from_pairs(cls, n: int, i, j) -> SimpleGraph:
+        """The graph on n vertices with edges (i[k], j[k]), each given once in either order."""
+        rows = np.concatenate((i, j)).astype(np.intp)
+        cols = np.concatenate((j, i)).astype(np.intp)
+        if np.any(rows == cols):
+            raise ValueError("self-loops are not allowed")
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
+            raise ValueError("an edge is given twice")
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        # a vertex outside 0..n-1 raises ValueError in bincount or in cumsum
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(indptr, cols)
+
+    @property
+    def n(self) -> int:
+        return self.indptr.size - 1
 
     def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
+        return np.diff(self.indptr)
 
     def edges(self) -> list[tuple[int, int]]:
-        iu, ju = np.nonzero(np.triu(self.adjacency, k=1))
-        return list(zip(iu.tolist(), ju.tolist()))
+        """Each edge once as (i, j), i < j, ascending."""
+        rows = np.repeat(np.arange(self.n), self.degrees())
+        upper = rows < self.indices
+        return list(zip(rows[upper].tolist(), self.indices[upper].tolist()))
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """Dense boolean n x n adjacency, built on each call for the tests' oracles and
+        perfbench's edge count; it goes once perfbench counts edges from ``indices``."""
+        adj = np.zeros((self.n, self.n), dtype=bool)
+        adj[np.repeat(np.arange(self.n), self.degrees()), self.indices] = True
+        return adj
 
 
 @dataclass
@@ -53,15 +77,9 @@ class CoverageRanges:
         return self.ranges.shape[0]
 
 
-def build_sbs_weighted_graph(sbs: PointSet) -> np.ndarray:
-    """Complete weighted graph over SBSs as its weight matrix, w[i][j] = d(S_i, S_j)."""
-    return distance_matrix(sbs)
-
-
 def individual_thresholds(ranges: CoverageRanges) -> np.ndarray:
-    """Pairwise threshold matrix Tr(i,j) = min(R_i, R_j)."""
-    r = ranges.ranges
-    return np.minimum(r[:, None], r[None, :])
+    """Per-station thresholds t_i = R_i; pair (i, j) is thresholded at min(t_i, t_j)."""
+    return ranges.ranges
 
 
 def universal_threshold(ranges: CoverageRanges) -> float:
@@ -71,37 +89,34 @@ def universal_threshold(ranges: CoverageRanges) -> float:
     return float(ranges.ranges.min())
 
 
-def threshold_graph(w: np.ndarray, thresholds) -> SimpleGraph:
-    """Conflict graph: edge (i, j) iff the SBSs are within threshold of each other.
+def threshold_graph(sbs: PointSet, thresholds) -> SimpleGraph:
+    """Conflict graph: edge (i, j) iff d(S_i, S_j) <= min(t_i, t_j), boundary inclusive.
 
-    ``w`` is the SBS distance matrix. Nearby stations (w[i][j] <= Tr(i,j),
-    boundary inclusive) are the ones that can serve a common user and
-    therefore must not cache the same block.
-    ``thresholds`` may be a full matrix or a scalar (universal threshold); it
-    must be symmetric and non-negative, and so must the weights.
+    Nearby stations are the ones that can serve a common user and therefore
+    must not cache the same block. ``thresholds`` is the per-station vector
+    t or one scalar for every station; it must be non-negative. The kernel
+    finds the pairs with d <= t[j]; pair (i, j) is kept for the station j
+    with the smaller threshold (the smaller index on a tie), so each edge
+    comes once, and d(S_i, S_j) == d(S_j, S_i) bit for bit.
     """
-    n = w.shape[0]
-    if n and np.any(w < 0.0):
-        raise ValueError("weights must be non-negative")
-    tr = np.broadcast_to(np.asarray(thresholds, dtype=float), (n, n))
-    if n and not np.array_equal(tr, tr.T):
-        raise ValueError("threshold matrix must be symmetric")
-    if n and np.any(tr < 0.0):
+    n = len(sbs)
+    t = np.broadcast_to(np.asarray(thresholds, dtype=float), (n,))
+    if np.any(t < 0.0):
         raise ValueError("thresholds must be non-negative")
-    adj = w <= tr
-    np.fill_diagonal(adj, False)
-    return SimpleGraph(n, adj)
+    i, j = pairs_within(sbs, sbs, t)
+    keep = (t[j] < t[i]) | ((t[j] == t[i]) & (i < j))
+    return SimpleGraph.from_pairs(n, i[keep], j[keep])
 
 
-def build_class_graph(classes: np.ndarray) -> SimpleGraph:
+def build_class_graph(classes: tuple[np.ndarray, np.ndarray], n: int) -> SimpleGraph:
     """Edge (i, j), i != j, iff j belongs to i's proximity class.
 
-    ``classes`` is the boolean class-membership matrix. Membership must be
-    symmetric (it comes from a distance test); asymmetric input is rejected.
+    ``classes`` holds the symmetric membership pairs of ``ClassWeights``;
+    each edge is read from its pair with i < j.
     """
-    adj = np.array(classes, dtype=bool)
-    np.fill_diagonal(adj, False)
-    return SimpleGraph(adj.shape[0], adj)
+    i, j = classes
+    upper = i < j
+    return SimpleGraph.from_pairs(n, i[upper], j[upper])
 
 
 def access_pairs(

@@ -38,7 +38,6 @@ from .netgraph import (
     SimpleGraph,
     access_pairs,
     build_class_graph,
-    build_sbs_weighted_graph,
     individual_thresholds,
     threshold_graph,
     universal_threshold,
@@ -51,6 +50,13 @@ from .popularity import Catalog, sample_requests
 # so the wrapped name is never called and its two metrics read zero until the
 # spans are remapped onto ``access_pairs``; then this alias goes.
 access_matrix = access_pairs
+
+
+# perfbench/spans.py times the conflict graph through this name as well; the
+# weights d(S_i, S_j) of the complete SBS graph are read from the positions.
+def build_sbs_weighted_graph(sbs: PointSet) -> PointSet:
+    return sbs
+
 
 POLICIES = ("baseline", "threshold_coloring", "matern_coloring")
 THRESHOLD_MODES = ("individual", "universal")
@@ -81,6 +87,9 @@ class ReplicationError(RuntimeError):
     def __init__(self, index: int, message: str):
         self.index = index
         super().__init__(message)
+
+    def __reduce__(self):
+        return type(self), (self.index, *self.args)
 
 
 @dataclass
@@ -270,12 +279,8 @@ def build_policy_artifacts(
         return PolicyArtifacts(None, None, None, place_most_popular(n, catalog, cfg.memory))
 
     if cfg.policy == "threshold_coloring":
-        weighted = build_sbs_weighted_graph(sbs)
-        if cfg.threshold_mode == "individual":
-            thresholds = individual_thresholds(ranges)
-        else:
-            thresholds = universal_threshold(ranges)
-        graph = threshold_graph(weighted, thresholds)
+        pick = individual_thresholds if cfg.threshold_mode == "individual" else universal_threshold
+        graph = threshold_graph(build_sbs_weighted_graph(sbs), pick(ranges))
         if cfg.coloring_mode == "exact" and n <= EXACT_SOLVER_LIMIT:
             coloring = exact_min_coloring(graph)
         else:
@@ -291,7 +296,7 @@ def build_policy_artifacts(
         max_iterations=cfg.max_matern_iterations,
         survivor_counting=cfg.survivor_counting,
     )
-    graph = build_class_graph(cw.classes)
+    graph = build_class_graph(cw.classes, n)
     coloring = greedy_color_by_weight(graph, VertexWeights(cw.weights))
     placement = place_by_coloring(coloring, catalog, cfg.memory)
     return PolicyArtifacts(graph, coloring, cw, placement)
@@ -371,13 +376,6 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> SimResult:
     )
 
 
-def resolve_policy_token(token: str) -> tuple[str, str | None, str]:
-    """Map a sweep policy token to (policy, threshold-mode override, label)."""
-    if token not in POLICY_TOKENS:
-        raise ValueError(f"unknown policy '{token}' (choose from {sorted(POLICY_TOKENS)})")
-    return POLICY_TOKENS[token]
-
-
 @dataclass
 class SweepCell:
     axis_name: str
@@ -409,7 +407,9 @@ def sweep(
     runs = []
     for value in values:
         for token in policies:
-            policy, mode_override, label = resolve_policy_token(token)
+            if token not in POLICY_TOKENS:
+                raise ValueError(f"unknown policy '{token}' (choose from {sorted(POLICY_TOKENS)})")
+            policy, mode_override, label = POLICY_TOKENS[token]
             overrides = {axis: value, "policy": policy}
             if mode_override is not None:
                 overrides["threshold_mode"] = mode_override
@@ -432,17 +432,8 @@ def format_number(value) -> str:
 
 def result_row(policy: str, result: SimResult, replications: int, master_seed: int) -> str:
     """One scenario's result as a CSV row under RESULT_CSV_HEADER."""
-    return ",".join(
-        (
-            policy,
-            format_number(result.mean_hit_rate),
-            format_number(result.std_hit_rate),
-            format_number(result.mbs_load),
-            format_number(result.mean_colors_used),
-            str(replications),
-            str(master_seed),
-        )
-    )
+    stats = (result.mean_hit_rate, result.std_hit_rate, result.mbs_load, result.mean_colors_used)
+    return ",".join((policy, *map(format_number, stats), str(replications), str(master_seed)))
 
 
 def sweep_to_csv(cells) -> str:

@@ -1,15 +1,14 @@
 """Independent brute-force oracles and generators used only by the tests.
 
-Nothing here shares code with the production solvers: chromatic numbers come
-from exhaustive enumeration of canonical colorings, clique / independent-set
+Nothing here shares code with the production solvers: distances come from a
+dense n x m matrix instead of the sparse pair kernel, chromatic numbers from
+exhaustive enumeration of canonical colorings, clique / independent-set
 sizes from full subset scans, cache blocks from a rank-by-rank loop, per-user
-delivery from set unions, and expected hit rates from integrating over a grid
-of the cell instead of drawing users and requests. The exceptions are the
-access sets, which read a dense access matrix over the production distance
-kernel (the netgraph tests check that matrix against a per-pair distance
-scan, and the geometry tests check the sparse pair kernel against it), the
-class weights, which reuse the production mark draws (but not the
-thinnings), and the pruned clique search, which reads the exact solver's
+delivery from set unions, Matern thinnings and class weights from dense
+neighbour matrices and a survivor-by-member loop, and expected hit rates from
+integrating over a grid of the cell instead of drawing users and requests.
+The exceptions are the class weights' marks, which come from the production
+draw, and the pruned clique search, which reads the exact solver's
 bit-packed adjacency (the coloring tests check it against the full subset
 scans).
 """
@@ -26,10 +25,26 @@ import numpy as np
 
 from sbscache.classify import _fresh_marks
 from sbscache.coloring import EXACT_SOLVER_LIMIT, CapacityError, Coloring, _adjacency_bits
-from sbscache.geometry import PointSet, distance_matrix
+from sbscache.geometry import PointSet
 from sbscache.netgraph import CoverageRanges, SimpleGraph
 from sbscache.popularity import Catalog
 from sbscache.sim import ScenarioConfig, build_network, build_policy_artifacts
+
+
+def distance_matrix(a: PointSet, b: PointSet | None = None) -> np.ndarray:
+    """Euclidean distances from each point of ``a`` to each point of ``b`` (default: ``a``)."""
+    b = a if b is None else b
+    dx = a.xy[:, 0, None] - b.xy[None, :, 0]
+    dy = a.xy[:, 1, None] - b.xy[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def graph_from_matrix(adj: np.ndarray) -> SimpleGraph:
+    """The graph of a symmetric boolean adjacency matrix with a false diagonal."""
+    adj = np.asarray(adj, dtype=bool)
+    if not np.array_equal(adj, adj.T) or adj.diagonal().any():
+        raise ValueError("adjacency must be symmetric with a false diagonal")
+    return SimpleGraph.from_pairs(adj.shape[0], *np.nonzero(np.triu(adj)))
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> SimpleGraph:
@@ -38,12 +53,19 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> SimpleGraph:
         if i == j:
             raise ValueError("self-loops are not allowed")
         adj[i, j] = adj[j, i] = True
-    return SimpleGraph(n, adj)
+    return graph_from_matrix(adj)
 
 
 def random_simple_graph(rng: np.random.Generator, n: int, p: float) -> SimpleGraph:
     upper = np.triu(rng.random((n, n)) < p, k=1)
-    return SimpleGraph(n, upper | upper.T)
+    return graph_from_matrix(upper | upper.T)
+
+
+def class_matrix(classes: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
+    """Dense boolean class membership: ``m[i, j]`` iff j is in i's class."""
+    m = np.zeros((n, n), dtype=bool)
+    m[classes] = True
+    return m
 
 
 def adjacency_sets(g: SimpleGraph) -> list[set[int]]:
@@ -145,7 +167,7 @@ def independence_number(g: SimpleGraph, limit: int = EXACT_SOLVER_LIMIT) -> int:
         raise CapacityError(f"independence oracle limited to {limit} vertices, got {g.n}")
     comp = ~g.adjacency
     np.fill_diagonal(comp, False)
-    return clique_number(SimpleGraph(g.n, comp), limit)
+    return clique_number(graph_from_matrix(comp), limit)
 
 
 @dataclass
@@ -208,36 +230,28 @@ def class_weights_reference(
 ) -> tuple[tuple[frozenset[int], ...], list[int], int]:
     """Proximity classes as per-station sets, and weights from a survivor-by-member loop.
 
-    Classes and hard-core neighbours (at 2 * r_class) come from one per-pair
-    distance scan; the type-I and type-II rules are plain loops over those
-    neighbours. Marks come from the production draw so that every iteration
-    sees the same marks. Returns (classes, weights, iterations_used); raises
+    Classes and hard-core neighbours (at 2 * r_class) come from the dense
+    distance matrix; type I keeps the rows of the neighbour matrix with no
+    neighbour, and type II the rows with no neighbour of a smaller mark.
+    Marks come from the production draw so that every iteration sees the
+    same marks. Returns (classes, weights, iterations_used); raises
     RuntimeError if the budget runs out.
     """
     n = len(pts)
-    xy = pts.xy.tolist()
-
-    def within(radius: float) -> list[list[int]]:
-        return [
-            [
-                j for j in range(n)
-                if math.sqrt((xy[i][0] - xy[j][0]) ** 2 + (xy[i][1] - xy[j][1]) ** 2) <= radius
-            ]
-            for i in range(n)
-        ]
-
-    classes = tuple(frozenset(members) for members in within(r_class))
-    neighbours = [[j for j in row if j != i] for i, row in enumerate(within(2.0 * r_class))]
+    d = distance_matrix(pts)
+    members = d <= r_class
+    classes = tuple(frozenset(np.flatnonzero(row).tolist()) for row in members)
+    near = d <= 2.0 * r_class
+    np.fill_diagonal(near, False)
     weights = [0] * n
     if n == 0:
         return classes, weights, 0
     rng = np.random.default_rng(seed)
-    survivors_i = [i for i in range(n) if not neighbours[i]]
+    survivors_i = np.flatnonzero(~near.any(axis=1)).tolist()
     for iteration in range(1, (max_iterations or 10 * n) + 1):
-        marks = _fresh_marks(rng, n).tolist()
-        survivors_ii = [
-            i for i in range(n) if all(marks[i] < marks[j] for j in neighbours[i])
-        ]
+        marks = _fresh_marks(rng, n)
+        beaten = near & (marks[None, :] < marks[:, None])
+        survivors_ii = np.flatnonzero(~beaten.any(axis=1)).tolist()
         if counting == "double":
             passes = survivors_i + survivors_ii
         else:

@@ -21,14 +21,8 @@ from sbscache.coloring import (
     greedy_color_by_weight,
     VertexWeights,
 )
-from sbscache.geometry import (
-    distance_matrix,
-    hard_core_neighbours,
-    matern_type_i,
-    matern_type_ii,
-    sample_binomial_disk,
-)
-from sbscache.netgraph import build_sbs_weighted_graph, threshold_graph
+from sbscache.geometry import matern_type_i, matern_type_ii, pairs_within, sample_binomial_disk
+from sbscache.netgraph import threshold_graph
 from sbscache.placement import place_by_coloring, place_most_popular
 from sbscache.popularity import Catalog, sample_requests, top_mass, zipf_pmf
 from sbscache.sim import (
@@ -176,8 +170,9 @@ def test_criterion_2_matern_suite():
         n = int(rng.integers(0, 60))
         pts = sample_binomial_disk(n, 200.0, rng)
         hard = float(rng.uniform(5.0, 50.0))
-        near = hard_core_neighbours(distance_matrix(pts), hard)
-        kept_i = matern_type_i(near)
+        pi, pj = pairs_within(pts, pts, np.full(n, hard))
+        near = pi[pi != pj], pj[pi != pj]
+        kept_i = matern_type_i(near, n)
         marks = rng.permutation(max(n, 1))[:n] / max(n, 1)
         kept_ii = matern_type_ii(near, marks)
         assert min_pairwise_distance(pts.xy[kept_i]) > hard
@@ -340,7 +335,7 @@ def test_criterion_8_degenerate_equivalence():
     catalog = Catalog(1000, 0.6)
     sbs = sample_binomial_disk(12, 350.0, ACCEPT_SEED)
     # threshold 0 keeps no edge (all stations distinct), forcing one color
-    graph = threshold_graph(build_sbs_weighted_graph(sbs), 0.0)
+    graph = threshold_graph(sbs, 0.0)
     assert graph.edges() == []
     coloring = greedy_color_by_degree(graph)
     assert coloring.k == 1
@@ -357,7 +352,7 @@ def test_criterion_8_degenerate_equivalence():
     )
     for seed in replication_seeds(cfg.master_seed, cfg.replications):
         net, _ = build_network(cfg, seed)
-        assert threshold_graph(build_sbs_weighted_graph(net), 80.0).edges() == []
+        assert threshold_graph(net, 80.0).edges() == []
     base = run_scenario(dataclasses.replace(cfg, policy="baseline"))
     colored = run_scenario(dataclasses.replace(cfg, policy="threshold_coloring"))
     ok = colored.per_replication == base.per_replication and colored.colors_used == (1,) * 5

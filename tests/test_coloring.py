@@ -16,13 +16,12 @@ from sbscache.coloring import (
     greedy_color_by_degree,
     greedy_color_by_weight,
 )
-from sbscache.netgraph import SimpleGraph
-
 from oracles import (
     chromatic_number_enumeration,
     clique_number,
     clique_number_enumeration,
     graph_from_edges,
+    graph_from_matrix,
     independence_number,
     independence_number_enumeration,
     is_proper,
@@ -34,7 +33,7 @@ from oracles import (
 def complete_graph(n):
     adj = np.ones((n, n), dtype=bool)
     np.fill_diagonal(adj, False)
-    return SimpleGraph(n, adj)
+    return graph_from_matrix(adj)
 
 
 def cycle_graph(n):
@@ -42,7 +41,7 @@ def cycle_graph(n):
 
 
 def edgeless(n):
-    return SimpleGraph(n, np.zeros((n, n), dtype=bool))
+    return graph_from_matrix(np.zeros((n, n), dtype=bool))
 
 
 def test_is_proper_edgeless_single_color():
@@ -188,7 +187,7 @@ def test_exact_k_within_classical_bounds(g):
 @settings(max_examples=80, deadline=None)
 def test_exact_k_invariant_under_relabeling(g, seed):
     perm = np.random.default_rng(seed).permutation(g.n)
-    relabeled = SimpleGraph(g.n, g.adjacency[np.ix_(perm, perm)])
+    relabeled = graph_from_matrix(g.adjacency[np.ix_(perm, perm)])
     assert exact_min_coloring(relabeled).k == exact_min_coloring(g).k
 
 

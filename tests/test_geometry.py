@@ -10,15 +10,13 @@ from hypothesis import strategies as st
 
 from sbscache.geometry import (
     PointSet,
-    distance_matrix,
-    hard_core_neighbours,
     matern_type_i,
     matern_type_ii,
     pairs_within,
     sample_binomial_disk,
 )
 
-from oracles import min_pairwise_distance
+from oracles import distance_matrix, min_pairwise_distance
 
 
 def ptset(coords, radius=1000.0):
@@ -26,7 +24,13 @@ def ptset(coords, radius=1000.0):
 
 
 def near(pts, hard):
-    return hard_core_neighbours(distance_matrix(pts), hard)
+    """The hard-core pairs of ``pts``: every (i, j), i != j, with d <= hard."""
+    i, j = pairs_within(pts, pts, np.full(len(pts), hard))
+    return i[i != j], j[i != j]
+
+
+def thin_i(pts, hard):
+    return matern_type_i(near(pts, hard), len(pts))
 
 
 def test_binomial_disk_empty():
@@ -60,14 +64,14 @@ def test_binomial_disk_rejects_bad_args():
 
 
 def test_matern_i_single_point_survives():
-    assert matern_type_i(near(ptset([(0, 0)]), 5.0)).tolist() == [0]
+    assert thin_i(ptset([(0, 0)]), 5.0).tolist() == [0]
 
 
 def test_matern_i_close_pair_mutually_eliminates():
     # the test is inclusive: a pair at exactly the hard distance also goes
     for gap in (0.5, 1.0):
         pts = ptset([(0, 0), (gap, 0)])
-        assert matern_type_i(near(pts, 1.0)).tolist() == []
+        assert thin_i(pts, 1.0).tolist() == []
 
 
 def test_matern_i_spaced_chain_survives():
@@ -75,13 +79,13 @@ def test_matern_i_spaced_chain_survives():
     # prefix of the chain survives whole, down to the empty (0, 0) matrix
     chain = [(0, 0), (1.1, 0), (2.2, 0)]
     for k in range(len(chain) + 1):
-        assert matern_type_i(near(ptset(chain[:k]), 1.0)).tolist() == list(range(k))
+        assert thin_i(ptset(chain[:k]), 1.0).tolist() == list(range(k))
 
 
 def test_matern_ii_single_point_survives():
     # a lone point survives, and no points leave no survivors
     assert matern_type_ii(near(ptset([(0, 0)]), 2.0), np.array([0.4])).tolist() == [0]
-    assert matern_type_ii(np.zeros((0, 0), dtype=bool), np.empty(0)).tolist() == []
+    assert matern_type_ii(near(ptset([]), 2.0), np.empty(0)).tolist() == []
 
 
 def test_matern_ii_smaller_mark_wins():
@@ -275,7 +279,7 @@ def disk_point_sets(draw, max_points=40, radius=100.0):
 @given(disk_point_sets(), st.floats(min_value=1.0, max_value=60.0))
 @settings(max_examples=150)
 def test_matern_i_respects_hard_distance(pts, hard):
-    kept = matern_type_i(near(pts, hard))
+    kept = thin_i(pts, hard)
     assert min_pairwise_distance(pts.xy[kept]) > hard
 
 
@@ -285,12 +289,12 @@ def test_matern_ii_respects_hard_distance_and_contains_type_i(pts, hard, seed):
     marks = np.random.default_rng(seed).permutation(len(pts)) / max(len(pts), 1)
     kept_ii = matern_type_ii(near(pts, hard), marks)
     assert min_pairwise_distance(pts.xy[kept_ii]) > hard
-    kept_i = matern_type_i(near(pts, hard))
+    kept_i = thin_i(pts, hard)
     assert set(kept_i.tolist()) <= set(kept_ii.tolist())
 
 
 @given(disk_point_sets())
 @settings(max_examples=50)
 def test_matern_outputs_deterministic(pts):
-    assert matern_type_i(near(pts, 10.0)).tolist() == matern_type_i(near(pts, 10.0)).tolist()
+    assert thin_i(pts, 10.0).tolist() == thin_i(pts, 10.0).tolist()
 

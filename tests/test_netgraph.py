@@ -2,16 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sbscache.geometry import PointSet, sample_binomial_disk
+from sbscache.geometry import PointSet, pairs_within, sample_binomial_disk
 from sbscache.netgraph import (
     CoverageRanges,
     SimpleGraph,
     access_pairs,
     build_class_graph,
-    build_sbs_weighted_graph,
     graph_to_edge_list,
     individual_thresholds,
     threshold_graph,
@@ -20,7 +19,14 @@ from sbscache.netgraph import (
 from sbscache.placement import Placement, placement_matrix, placement_to_csv
 
 import oracles
-from oracles import AccessMap, access_matrix, build_access_map, build_delivery_map, random_simple_graph
+from oracles import (
+    AccessMap,
+    access_matrix,
+    build_access_map,
+    build_delivery_map,
+    distance_matrix,
+    random_simple_graph,
+)
 
 
 def ptset(coords, radius=1000.0):
@@ -28,19 +34,25 @@ def ptset(coords, radius=1000.0):
 
 
 def test_weighted_graph_single_sbs():
-    w = build_sbs_weighted_graph(ptset([(0, 0)]))
-    assert w.tolist() == [[0.0]]
+    # a station is never its own neighbour, even at threshold 0
+    g = threshold_graph(ptset([(0, 0)]), 0.0)
+    assert g.n == 1 and g.edges() == []
 
 
 def test_weighted_graph_pair_distance():
-    w = build_sbs_weighted_graph(ptset([(0, 0), (0, 80)]))
-    assert w[0, 1] == 80.0
+    # the weight is exactly 80: an edge at threshold 80, none one ulp below
+    sbs = ptset([(0, 0), (0, 80)])
+    assert threshold_graph(sbs, 80.0).edges() == [(0, 1)]
+    assert threshold_graph(sbs, np.nextafter(80.0, 0.0)).edges() == []
 
 
 def test_weighted_graph_symmetric_zero_diagonal():
-    w = build_sbs_weighted_graph(sample_binomial_disk(20, 350.0, seed=2))
-    assert np.array_equal(w, w.T)
-    assert np.all(np.diag(w) == 0.0)
+    # the station pairs of the kernel come in both orders, self-pairs included
+    sbs = sample_binomial_disk(20, 350.0, seed=2)
+    i, j = pairs_within(sbs, sbs, np.full(20, 120.0))
+    pairs = set(zip(i.tolist(), j.tolist()))
+    assert pairs == {(b, a) for a, b in pairs}
+    assert {(v, v) for v in range(20)} <= pairs
 
 
 def test_individual_thresholds_uniform_ranges():
@@ -49,14 +61,22 @@ def test_individual_thresholds_uniform_ranges():
 
 
 def test_individual_thresholds_min_rule():
-    tr = individual_thresholds(CoverageRanges(np.array([50.0, 100.0])))
-    assert tr[0, 1] == 50.0 and tr[1, 0] == 50.0
+    # d = 75 lies within R_1 = 100 but not within R_0 = 50
+    ranges = individual_thresholds(CoverageRanges(np.array([50.0, 100.0])))
+    assert threshold_graph(ptset([(0, 0), (75, 0)]), ranges).edges() == []
+    assert threshold_graph(ptset([(0, 0), (50, 0)]), ranges).edges() == [(0, 1)]
 
 
 def test_individual_thresholds_symmetric():
+    # relabelling the stations relabels the graph: the kept direction of a
+    # pair depends on the index order only when the thresholds tie
     rng = np.random.default_rng(3)
-    tr = individual_thresholds(CoverageRanges(rng.uniform(50, 100, 12)))
-    assert np.array_equal(tr, tr.T)
+    sbs = sample_binomial_disk(12, 150.0, seed=3)
+    ranges = np.round(rng.uniform(50, 100, 12), -1)  # ties on purpose
+    perm = rng.permutation(12)
+    g = threshold_graph(sbs, ranges).adjacency
+    relabeled = threshold_graph(PointSet(sbs.xy[perm], 150.0), ranges[perm]).adjacency
+    assert np.array_equal(relabeled, g[np.ix_(perm, perm)])
 
 
 def test_universal_threshold_examples():
@@ -67,8 +87,8 @@ def test_universal_threshold_examples():
 def test_universal_threshold_matches_pair_scan():
     rng = np.random.default_rng(4)
     ranges = CoverageRanges(rng.uniform(50, 100, 10))
-    tr = individual_thresholds(ranges)
-    brute = min(tr[i, j] for i in range(10) for j in range(10) if i != j)
+    r = individual_thresholds(ranges)
+    brute = min(min(r[i], r[j]) for i in range(10) for j in range(10) if i != j)
     assert universal_threshold(ranges) == brute
 
 
@@ -78,23 +98,20 @@ def test_universal_threshold_empty_network():
 
 
 def test_threshold_graph_far_apart_no_edge():
-    g = build_sbs_weighted_graph(ptset([(0, 0), (200, 0)]))
-    assert not threshold_graph(g, 80.0).adjacency[0, 1]
+    assert not threshold_graph(ptset([(0, 0), (200, 0)]), 80.0).adjacency[0, 1]
 
 
 def test_threshold_graph_nearby_edge():
-    g = build_sbs_weighted_graph(ptset([(0, 0), (60, 0)]))
-    assert threshold_graph(g, 80.0).adjacency[0, 1]
+    assert threshold_graph(ptset([(0, 0), (60, 0)]), 80.0).adjacency[0, 1]
 
 
 def test_threshold_graph_boundary_inclusive():
-    g = build_sbs_weighted_graph(ptset([(0, 0), (80, 0)]))
-    assert threshold_graph(g, 80.0).adjacency[0, 1]
+    assert threshold_graph(ptset([(0, 0), (80, 0)]), 80.0).adjacency[0, 1]
 
 
 def test_threshold_graph_matches_brute_force_at_cell_scale():
     sbs = sample_binomial_disk(48, 350.0, seed=6)
-    g = threshold_graph(build_sbs_weighted_graph(sbs), 80.0)
+    g = threshold_graph(sbs, 80.0)
     for i in range(48):
         for j in range(48):
             d = float(np.hypot(*(sbs.xy[i] - sbs.xy[j])))
@@ -104,27 +121,73 @@ def test_threshold_graph_matches_brute_force_at_cell_scale():
 def test_universal_edges_subset_of_individual_edges():
     sbs = sample_binomial_disk(30, 350.0, seed=8)
     ranges = CoverageRanges(np.random.default_rng(8).uniform(50, 100, 30))
-    wg = build_sbs_weighted_graph(sbs)
-    g_uni = threshold_graph(wg, universal_threshold(ranges))
-    g_ind = threshold_graph(wg, individual_thresholds(ranges))
+    g_uni = threshold_graph(sbs, universal_threshold(ranges))
+    g_ind = threshold_graph(sbs, individual_thresholds(ranges))
     assert np.all(~g_uni.adjacency | g_ind.adjacency)
 
 
+@st.composite
+def conflict_inputs(draw):
+    """Stations anywhere, on a coarse grid (exact ties) or stacked; fixed or per-station ranges."""
+    n = draw(st.integers(0, 14))
+    layout = draw(st.sampled_from(("disk", "grid", "stacked")))
+    if layout == "disk":
+        xy = draw(st.lists(st.tuples(*[st.floats(-140.0, 140.0)] * 2), min_size=n, max_size=n))
+    elif layout == "grid":
+        xy = draw(st.lists(st.tuples(*[st.integers(-7, 7).map(lambda k: 20.0 * k)] * 2),
+                           min_size=n, max_size=n))
+    else:
+        xy = [(30.0, -40.0)] * n
+    if draw(st.booleans()):
+        ranges = np.full(n, float(draw(st.sampled_from([0.0, 20.0, 28.0, 50.0, 80.0]))))
+    else:
+        either = st.sampled_from([0.0, 20.0, 40.0, 50.0, 80.0, 100.0]) | st.floats(0.0, 120.0)
+        ranges = np.array(draw(st.lists(either, min_size=n, max_size=n)))
+    return PointSet(np.array(xy, dtype=float).reshape(-1, 2), 200.0), ranges
+
+
+@given(conflict_inputs())
+# d == R exactly: a 3-4-5 triangle scaled to 50, and an axis pair at 80
+@example((ptset([(0, 0), (30, 40), (80, 0)], 200.0), np.array([80.0, 50.0, 80.0])))
+# R_i < d <= R_j: 75 m lies within 100 but not within 50, so no edge
+@example((ptset([(0, 0), (75, 0)], 200.0), np.array([50.0, 100.0])))
+@example((ptset([(0, 0), (75, 0)], 200.0), np.array([100.0, 50.0])))
+# equal ranges, and coincident stations
+@example((ptset([(0, 0), (10, 0), (10, 0), (10, 0)], 200.0), np.full(4, 10.0)))
+# threshold 0: only coincident stations conflict
+@example((ptset([(0, 0), (0, 0), (1e-9, 0), (50, 50)], 200.0), np.array([0.0, 0.0, 0.0, 30.0])))
+@example((ptset([], 200.0), np.array([])))
+@example((ptset([(5, 5)], 200.0), np.array([30.0])))
+@settings(max_examples=200, deadline=None)
+def test_conflict_graph_is_the_dense_threshold(inputs):
+    # both threshold modes give the dense oracle's d <= min(R_i, R_j), off the diagonal
+    sbs, r = inputs
+    d = distance_matrix(sbs)
+    off = ~np.eye(len(sbs), dtype=bool)
+    expected = {"individual": (r, d <= np.minimum(r[:, None], r[None, :]))}
+    if len(sbs):
+        expected["universal"] = (r.min(), d <= r.min())
+    for mode, (thresholds, dense) in expected.items():
+        g = threshold_graph(sbs, thresholds)
+        assert np.array_equal(g.adjacency, dense & off), mode
+        assert g.degrees().sum() == 2 * len(g.edges())  # no edge twice
+
+
+def test_conflict_graph_at_threshold_zero_joins_only_coincident_stations():
+    sbs = ptset([(0, 0), (0, 0), (1e-9, 0), (50, 50)])
+    assert threshold_graph(sbs, 0.0).edges() == [(0, 1)]
+
+
 def test_class_graph_singletons_edgeless():
-    g = build_class_graph(np.eye(3, dtype=bool))
+    g = build_class_graph((np.arange(3), np.arange(3)), 3)
     assert g.edges() == []
 
 
 def test_class_graph_pair():
     classes = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool)
-    g = build_class_graph(classes)
+    g = build_class_graph(np.nonzero(classes), 3)
     assert g.edges() == [(0, 1)]
     assert classes.diagonal().all()  # the input is left as it was
-
-
-def test_class_graph_rejects_asymmetric_membership():
-    with pytest.raises(ValueError):
-        build_class_graph(np.array([[1, 1], [0, 1]], dtype=bool))
 
 
 def test_access_map_out_of_range_user():
@@ -229,16 +292,24 @@ def test_placement_matrix_matches_sets():
     assert placement.caches == (frozenset({5, 6, 7, 8}), frozenset({9, 10, 1, 2}))
 
 
-def test_simple_graph_rejects_asymmetry_and_loops():
-    with pytest.raises(ValueError):
-        SimpleGraph(2, np.array([[False, True], [False, False]]))
-    with pytest.raises(ValueError):
-        SimpleGraph(1, np.array([[True]]))
+def test_simple_graph_rejects_loops_repeats_and_strangers():
+    with pytest.raises(ValueError, match="self-loops"):
+        SimpleGraph.from_pairs(1, [0], [0])
+    with pytest.raises(ValueError, match="twice"):
+        SimpleGraph.from_pairs(2, [0, 1], [1, 0])
+    for stranger in (2, -1):
+        with pytest.raises(ValueError):
+            SimpleGraph.from_pairs(2, [0], [stranger])
+    g = SimpleGraph.from_pairs(3, [2, 0], [1, 1])
+    assert g.indptr.tolist() == [0, 1, 3, 4] and g.indices.tolist() == [1, 0, 2, 1]
 
 
-def test_weighted_graph_rejects_negative_weights():
+def test_threshold_graph_rejects_negative_thresholds():
+    sbs = ptset([(0, 0), (1, 0)])
     with pytest.raises(ValueError):
-        threshold_graph(np.array([[0.0, -1.0], [-1.0, 0.0]]), 10.0)
+        threshold_graph(sbs, -1.0)
+    with pytest.raises(ValueError):
+        threshold_graph(sbs, np.array([10.0, -1.0]))
 
 
 @given(st.integers(0, 2**31), st.integers(0, 12))

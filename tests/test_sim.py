@@ -1,6 +1,8 @@
 """Replication pipeline, aggregation, sweeps, and their invariants."""
 
+import copy
 import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from sbscache import sim
 from sbscache.classify import ConvergenceError
 from sbscache.geometry import sample_binomial_disk
-from sbscache.netgraph import build_sbs_weighted_graph, threshold_graph
+from sbscache.netgraph import threshold_graph
 from sbscache.popularity import Catalog, sample_requests, top_mass
 from sbscache.sim import (
     POLICIES,
@@ -112,7 +114,7 @@ def test_one_coloring_degenerates_to_baseline_on_shared_seeds():
     )
     for seed in replication_seeds(cfg.master_seed, cfg.replications):
         sbs, _ = build_network(cfg, seed)
-        g = threshold_graph(build_sbs_weighted_graph(sbs), 80.0)
+        g = threshold_graph(sbs, 80.0)
         assert g.edges() == []
     base = run_scenario(dataclasses.replace(cfg, policy="baseline"))
     colored = run_scenario(dataclasses.replace(cfg, policy="threshold_coloring"))
@@ -206,6 +208,35 @@ def test_measure_stage_builds_no_dense_user_station_array():
     finally:
         tracemalloc.stop()
     assert peak < cfg.n_users * cfg.n_sbs * 8
+
+
+@pytest.mark.parametrize("policy", ["threshold_coloring", "matern_coloring"])
+def test_city_replication_builds_no_station_matrix(policy):
+    # one n_sbs x n_sbs boolean matrix is 23 MB at 4800 stations, and the
+    # float distance matrix 184 MB; the pair kernel and the CSR graphs peak
+    # at about 10 MB for the whole replication
+    cfg = ScenarioConfig(
+        n_sbs=4800, cell_radius=3500.0, n_users=300, n_rounds=1, replications=1,
+        policy=policy,
+    )
+    tracemalloc.start()
+    try:
+        sim.run_replication(cfg, replication_seeds(cfg.master_seed, 1)[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cfg.n_sbs**2
+
+
+@pytest.mark.parametrize(
+    "clone", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy], ids=["pickle", "copy"]
+)
+def test_replication_error_survives_pickle_and_copy(clone):
+    err = ReplicationError(4, "replication 4 (master_seed=1) failed: boom")
+    back = clone(err)
+    assert type(back) is ReplicationError
+    assert back.index == 4
+    assert str(back) == str(err) == "replication 4 (master_seed=1) failed: boom"
 
 
 def test_replication_errors_carry_context():
