@@ -3,13 +3,16 @@
 
 Runs baseline, threshold coloring, and Matern-class coloring on paired seeds
 at the default cell scale and prints hit rates, loads, and the relative load
-reduction of each policy.
+reduction of each policy. The three policies run as one sweep over a single
+station count, so each replication's network, users and requests are drawn
+once and shared by the three.
 """
 
 import argparse
-import dataclasses
 
-from sbscache.sim import ScenarioConfig, mbs_load_reduction, run_scenario
+from sbscache.sim import ScenarioConfig, mbs_load_reduction, sweep
+
+POLICIES = ("baseline", "threshold_coloring", "matern_coloring")
 
 
 def main() -> None:
@@ -22,16 +25,15 @@ def main() -> None:
     args = ap.parse_args()
 
     cfg = ScenarioConfig(
-        n_sbs=args.n_sbs,
         alpha=args.alpha,
         replications=args.replications,
         master_seed=args.master_seed,
     )
-    base = run_scenario(dataclasses.replace(cfg, policy="baseline"), workers=args.workers)
+    cells = sweep(cfg, "n_sbs", [args.n_sbs], POLICIES, workers=args.workers)
+    base, *colored = (c.result for c in cells)
     print(f"n_sbs={args.n_sbs} alpha={args.alpha} replications={args.replications}")
     print(f"  baseline            hit {base.mean_hit_rate:.4f}  load {base.mbs_load:.4f}")
-    for policy in ("threshold_coloring", "matern_coloring"):
-        res = run_scenario(dataclasses.replace(cfg, policy=policy), workers=args.workers)
+    for policy, res in zip(POLICIES[1:], colored):
         cut = mbs_load_reduction(res, base)
         print(
             f"  {policy:<19} hit {res.mean_hit_rate:.4f}  load {res.mbs_load:.4f}  "

@@ -126,7 +126,13 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
         group.add_argument(f"--{key}", metavar="VALUE", help=argparse.SUPPRESS)
 
 
+def _check_workers(ns: argparse.Namespace) -> None:
+    if ns.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {ns.workers}")
+
+
 def cmd_run(ns: argparse.Namespace) -> int:
+    _check_workers(ns)
     cfg = parse_config_file(ns.config, _collect_overrides(ns))
     result = sim.run_scenario(cfg, workers=ns.workers)
     row = sim.result_row(cfg.policy, result, cfg.replications, cfg.master_seed)
@@ -135,6 +141,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
+    _check_workers(ns)
     cfg = parse_config_file(ns.config, _collect_overrides(ns))
     if ns.recipe:
         if ns.axis or ns.values or ns.policies:

@@ -10,6 +10,12 @@ All randomness flows from one master seed through named substreams, so two
 policies run with the same seed see identical networks, users and requests
 (paired comparisons), and results are bit-reproducible regardless of how
 many worker threads execute the replications.
+
+A sweep draws those shared stages once per replication seed: the first cell
+at an axis value builds each replication's network, users, requests and
+access pairs and keeps them in a ``SharedStages`` store, and every later
+cell that differs only in placement-only fields (``PLACEMENT_ONLY_FIELDS``)
+reads them back instead of drawing them again.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import threading
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -202,6 +209,101 @@ def _check_type(name: str, value) -> None:
         raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
+# The fields only the placement stage reads. Every other field is an input
+# of the shared stages (network, users, requests, access pairs), so a field
+# added later joins the shared-stage key by default.
+PLACEMENT_ONLY_FIELDS = (
+    "policy", "threshold_mode", "coloring_mode", "r_class", "memory",
+    "max_matern_iterations", "survivor_counting",
+)
+_SHARED_FIELDS = tuple(name for name in CONFIG_FIELDS if name not in PLACEMENT_ONLY_FIELDS)
+
+
+def shared_stage_key(cfg: ScenarioConfig) -> tuple:
+    """Every config value the shared stages of a replication depend on."""
+    return tuple(getattr(cfg, name) for name in _SHARED_FIELDS)
+
+
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of a non-negative integer array in its smallest unsigned dtype."""
+    out = a.astype(np.min_scalar_type(a.max(initial=0)))
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True)
+class PackedRounds:
+    """A replication's access pairs and requests, as a sweep's store keeps them.
+
+    User-round i is covered by ``counts[i]`` stations, listed in
+    ``stations`` user-round by user-round, and requested ``ranks[i]``.
+    """
+
+    counts: np.ndarray
+    stations: np.ndarray
+    ranks: np.ndarray
+
+    @classmethod
+    def pack(cls, u: np.ndarray, j: np.ndarray, ranks: np.ndarray) -> "PackedRounds":
+        order = np.argsort(u, kind="stable")
+        return cls(_narrow(np.bincount(u, minlength=len(ranks))), _narrow(j[order]), _narrow(ranks))
+
+    def unpack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs ``(u, j)``, sorted by user-round, and the ranks."""
+        return np.repeat(np.arange(self.counts.size), self.counts), self.stations, self.ranks
+
+
+class SharedStages:
+    """The shared stages of one sweep's replications, for one key at a time.
+
+    Entries are keyed by the full shared-stage key and the replication seed,
+    so a lookup can only return what the caller would have computed itself.
+    ``open`` drops every entry when the key changes; an entry holds the
+    replication's ``"network"`` and, once measured, its ``"rounds"``.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._key: tuple | None = None
+        self._entries: dict[tuple, dict[str, object]] = {}
+
+    def open(self, key: tuple) -> None:
+        with self._lock:
+            if key != self._key:
+                self._key = key
+                self._entries = {}
+
+    def get(self, key: tuple, rep_seed, stage: str):
+        entry = self._entries.get((key, _seed_id(rep_seed)))
+        return None if entry is None else entry.get(stage)
+
+    def put(self, key: tuple, rep_seed, stage: str, value) -> None:
+        with self._lock:
+            if key == self._key:
+                self._entries.setdefault((key, _seed_id(rep_seed)), {})[stage] = value
+
+
+def _seed_id(rep_seed) -> tuple:
+    """A replication seed as a key: its entropy (the master seed) and spawn key (the index)."""
+    return rep_seed.entropy, rep_seed.spawn_key
+
+
+# The open sweep's store, or None. It is a module-level slot rather than an
+# argument because perfbench times each sweep cell by replacing
+# ``run_scenario`` with a wrapper that takes only ``(cfg, workers)``. The
+# slot goes once perfbench times groups of cells, in its next change.
+_sweep_store: SharedStages | None = None
+_sweep_store_lock = threading.Lock()
+
+
+def _open_store(cfg: ScenarioConfig, rep_seed) -> tuple[SharedStages | None, tuple | None]:
+    """The open sweep store and the replication's key in it, or (None, None)."""
+    store = _sweep_store
+    if store is None or not isinstance(rep_seed, np.random.SeedSequence):
+        return None, None
+    return store, shared_stage_key(cfg)
+
+
 @dataclass
 class SimResult:
     """Replication hit rates plus their mean / sample standard deviation."""
@@ -256,7 +358,15 @@ def _substreams(seed, n: int) -> list[np.random.SeedSequence]:
 
 
 def build_network(cfg: ScenarioConfig, rep_seed) -> tuple[PointSet, CoverageRanges]:
-    """Replication steps 1-2: SBS positions and coverage ranges, from substreams 0 and 1."""
+    """Replication steps 1-2: SBS positions and coverage ranges, from substreams 0 and 1.
+
+    In a sweep, a network an earlier cell drew is read from the store.
+    """
+    store, key = _open_store(cfg, rep_seed)
+    if store is not None:
+        network = store.get(key, rep_seed, "network")
+        if network is not None:
+            return network
     s_sbs, s_ranges = _substreams(rep_seed, 4)[:2]
     sbs = sample_binomial_disk(cfg.n_sbs, cfg.cell_radius, s_sbs)
     rng = np.random.default_rng(s_ranges)
@@ -264,7 +374,12 @@ def build_network(cfg: ScenarioConfig, rep_seed) -> tuple[PointSet, CoverageRang
         ranges = rng.uniform(cfg.sbs_range_min, cfg.sbs_range_max, cfg.n_sbs)
     else:
         ranges = np.full(cfg.n_sbs, float(cfg.sbs_range))
-    return sbs, CoverageRanges(ranges)
+    network = sbs, CoverageRanges(ranges)
+    if store is not None:
+        sbs.xy.flags.writeable = False
+        network[1].ranges.flags.writeable = False
+        store.put(key, rep_seed, "network", network)
+    return network
 
 
 def build_policy_artifacts(
@@ -316,21 +431,29 @@ def measure_hit_rate(
     ``requests_per_round`` Zipf requests; a request is a hit iff some
     accessible SBS caches the requested rank. The rounds split substream 3,
     each drawing its users and requests from its own substreams; the users
-    of all rounds then go through one access kernel call.
+    of all rounds then go through one access kernel call. In a sweep, the
+    pairs and ranks an earlier cell found are read from the store.
     """
     n_users, q = cfg.n_users, cfg.requests_per_round
     if cfg.n_rounds * n_users * q == 0:
         return 0.0
+    store, key = _open_store(cfg, rep_seed)
+    packed = None if store is None else store.get(key, rep_seed, "rounds")
+    if packed is None:
+        xy = np.empty((cfg.n_rounds, n_users, 2))
+        ranks = np.empty((cfg.n_rounds, n_users * q), dtype=np.intp)
+        for r, round_seed in enumerate(_substreams(_substreams(rep_seed, 4)[3], cfg.n_rounds)):
+            s_users, s_requests = _substreams(round_seed, 2)
+            xy[r] = sample_binomial_disk(n_users, cfg.cell_radius, s_users).xy
+            ranks[r] = sample_requests(catalog, n_users * q, np.random.default_rng(s_requests))
+        users = PointSet(xy.reshape(-1, 2), cfg.cell_radius)
+        ranks = ranks.reshape(-1, q)  # request i of a round belongs to its user i // q
+        u, j = access_pairs(users, sbs, ranges)
+        if store is not None:
+            store.put(key, rep_seed, "rounds", PackedRounds.pack(u, j, ranks))
+    else:
+        u, j, ranks = packed.unpack()
     pmat = placement_matrix(placement)
-    xy = np.empty((cfg.n_rounds, n_users, 2))
-    ranks = np.empty((cfg.n_rounds, n_users * q), dtype=np.intp)
-    for r, round_seed in enumerate(_substreams(_substreams(rep_seed, 4)[3], cfg.n_rounds)):
-        s_users, s_requests = _substreams(round_seed, 2)
-        xy[r] = sample_binomial_disk(n_users, cfg.cell_radius, s_users).xy
-        ranks[r] = sample_requests(catalog, n_users * q, np.random.default_rng(s_requests))
-    users = PointSet(xy.reshape(-1, 2), cfg.cell_radius)
-    ranks = ranks.reshape(-1, q)  # request i of a round belongs to its user i // q
-    u, j = access_pairs(users, sbs, ranges)
     pair, request = np.nonzero(pmat[j[:, None], ranks[u] - 1])
     hit = np.zeros(ranks.shape, dtype=bool)
     hit[u[pair], request] = True
@@ -351,9 +474,14 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> SimResult:
 
     Replication i always uses the i-th seed derived from ``master_seed`` and
     aggregation follows replication order, so the result does not depend on
-    how the replications were scheduled.
+    how the replications were scheduled. Inside a sweep, the sweep's store
+    is opened on this config's shared-stage key first.
     """
+    _check_workers(workers)
     cfg.validate()
+    store = _sweep_store
+    if store is not None:
+        store.open(shared_stage_key(cfg))
     seeds = replication_seeds(cfg.master_seed, cfg.replications)
 
     def one(indexed) -> tuple[float, int]:
@@ -365,7 +493,7 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> SimResult:
                 i, f"replication {i} (master_seed={cfg.master_seed}) failed: {exc}"
             ) from exc
 
-    if workers <= 1:
+    if workers == 1:
         results = [one(item) for item in enumerate(seeds)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -386,6 +514,11 @@ class SweepCell:
     master_seed: int
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+
+
 def sweep(
     cfg: ScenarioConfig, axis: str, values, policies, workers: int = 1
 ) -> list[SweepCell]:
@@ -395,7 +528,14 @@ def sweep(
     a given axis value, so policy columns are directly comparable. Every
     cell's config is validated before any cell runs, so a bad value raises
     ValueError at once.
+
+    Cells run in order, one ``run_scenario`` call each, with a
+    ``SharedStages`` store open: the first cell at an axis value draws each
+    replication's shared stages and the cells after it read them back. The
+    store is dropped when the sweep ends or fails.
     """
+    global _sweep_store
+    _check_workers(workers)
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}")
     values = list(values)
@@ -416,11 +556,20 @@ def sweep(
             cfg_cell = dataclasses.replace(cfg, **overrides)
             cfg_cell.validate()
             runs.append((value, label, cfg_cell))
-    return [
-        SweepCell(axis, value, label, run_scenario(cfg_cell, workers=workers),
-                  cfg.replications, cfg.master_seed)
-        for value, label, cfg_cell in runs
-    ]
+    store = SharedStages()
+    with _sweep_store_lock:
+        _sweep_store = store
+    try:
+        return [
+            SweepCell(axis, value, label, run_scenario(cfg_cell, workers=workers),
+                      cfg.replications, cfg.master_seed)
+            for value, label, cfg_cell in runs
+        ]
+    finally:
+        with _sweep_store_lock:
+            # a sweep started since in another thread owns the slot now
+            if _sweep_store is store:
+                _sweep_store = None
 
 
 def format_number(value) -> str:

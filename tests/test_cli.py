@@ -352,3 +352,19 @@ def test_run_rejects_non_finite_values(config_path, capsys, key, raw):
     assert main(["run", config_path, f"--{key}", raw]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_workers_below_one_is_a_config_error(config_path, tmp_path, capsys, monkeypatch, command, workers):
+    # a negative count used to run serially and exit 0
+    ran = []
+    monkeypatch.setattr(sim, "run_scenario", lambda cfg, workers=1: ran.append(cfg))
+    out = tmp_path / "table.csv"
+    args = [command, config_path, "--workers", workers]
+    if command == "sweep":
+        args += ["--recipe", "fig3", "--out", str(out)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and "--workers" in captured.err
+    assert captured.out == "" and ran == [] and not out.exists()

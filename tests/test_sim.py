@@ -349,3 +349,11 @@ def test_validation_rejects_bad_types_early_naming_the_key(key, value):
 def test_validation_accepts_numpy_scalars_and_int_floats():
     cfg = dataclasses.replace(SMALL, n_sbs=np.int64(5), alpha=np.float64(0.4), cell_radius=300)
     cfg.validate()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_are_rejected(workers):
+    with pytest.raises(ValueError, match="workers"):
+        run_scenario(SMALL, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        sweep(SMALL, "alpha", [0.4], ["baseline"], workers=workers)
