@@ -13,6 +13,7 @@ from .geometry import (
     PointSet,
     matern_type_i,
     matern_type_ii,
+    neighbour_list,
     pairs_within,
     sample_binomial_disk,
 )

@@ -4,7 +4,9 @@ Stations within ``r_class`` of each other share a class. Weights accumulate
 over repeated type-I / type-II thinnings (hard-core distance 2 * r_class,
 fresh uniform marks each round) until every station's weight is positive:
 stations that keep surviving, or sit near survivors, end up heavier and are
-colored (hence cache-filled) first.
+colored (hence cache-filled) first. One pair-kernel query at 2 * r_class
+per classification gives both the hard-core neighbour list (CSR) and, by
+the kernel's distance formula, the class pairs.
 """
 
 from __future__ import annotations
@@ -14,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointSet, matern_type_i, matern_type_ii, pairs_within
+from .geometry import (
+    PointSet,
+    matern_type_i,
+    matern_type_ii,
+    neighbour_list,
+    pair_distances,
+    pairs_within,
+)
 
 SURVIVOR_COUNTINGS = ("double", "single")
 
@@ -56,6 +65,9 @@ class ClassWeights:
 def _fresh_marks(rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniform marks in [0, 1); collisions are resampled so marks stay distinct."""
     marks = rng.random(n)
+    ordered = np.sort(marks)
+    if not np.any(ordered[1:] == ordered[:-1]):
+        return marks
     while True:
         _, inverse, counts = np.unique(marks, return_inverse=True, return_counts=True)
         dup = counts[inverse] > 1
@@ -73,16 +85,19 @@ def classify_and_weigh(
 ) -> ClassWeights:
     """Build classes by distance and accumulate weights until all are positive.
 
-    The classes are the station pairs within r_class; both thinnings read
-    the hard-core pairs within 2 * r_class. Each comes from one pair-kernel
-    call, whatever the number of iterations. The type-I survivors depend on
-    geometry only, so they are computed once; each iteration adds the
-    type-II survivors under fresh marks. Every survivor then bumps the
-    weight of every member of its class: a bincount over the class pairs,
-    weighted by how often each station survived. With
-    ``survivor_counting="double"`` (default) a station appearing in both
-    survivor sets triggers one increment pass per set; ``"single"`` counts
-    the union once, for sensitivity checks.
+    One pair-kernel call gives the station pairs within 2 * r_class: the
+    hard-core pairs of both thinnings, as a CSR neighbour list. The classes
+    are the pairs among them within r_class, by the kernel's own distance
+    formula, so they are exactly the kernel's pairs at r_class. Every
+    survivor bumps the weight of every member of its class: a class's
+    credit is the number of survivors among its members. The type-I
+    survivors depend on geometry only, so their credit is counted once and
+    earned every iteration; each iteration adds the credit of the type-II
+    survivors under fresh marks. With ``survivor_counting="double"``
+    (default) a station appearing in both survivor sets triggers one
+    increment pass per set; ``"single"`` counts the union once, for
+    sensitivity checks, so its type-II credit leaves out the type-I
+    survivors.
 
     Raises ConvergenceError, reporting the still-zero indices, if the budget
     (default 10 * station count) runs out first.
@@ -97,25 +112,28 @@ def classify_and_weigh(
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
 
-    classes = distance_matrix(sbs, sbs, np.full(n, float(r_class)))
     hi, hj = distance_matrix(sbs, sbs, np.full(n, 2.0 * r_class))
-    near = hi[hi != hj], hj[hi != hj]
-    weights = np.zeros(n, dtype=int)
+    x, y = sbs.xy[:, 0], sbs.xy[:, 1]
+    in_class = pair_distances(x, y, hi, x, y, hj) <= r_class
+    ci, cj = classes = hi[in_class], hj[in_class]
     if n == 0:
-        return ClassWeights(classes, weights, 0)
+        return ClassWeights(classes, np.zeros(0, dtype=int), 0)
+    other = hi != hj
+    near = neighbour_list(n, hi[other], hj[other])
 
     rng = np.random.default_rng(seed)
-    survivors_i = matern_type_i(near, n)
+    survives_i = np.zeros(n, dtype=bool)
+    survives_i[matern_type_i(near)] = True
+    credit_i = np.bincount(cj[survives_i[ci]], minlength=n)
+    # "single" counts the union of both sets once; that union is the type-II
+    # set, which holds every type-I survivor, so type II credits the others
+    counted = ~survives_i[ci] if survivor_counting == "single" else np.ones(ci.size, dtype=bool)
+    credit_ii = np.zeros(n, dtype=int)
     for iteration in range(1, max_iterations + 1):
-        marks = _fresh_marks(rng, n)
-        survivors_ii = matern_type_ii(near, marks)
-        if survivor_counting == "double":
-            passes = np.concatenate((survivors_i, survivors_ii))
-        else:
-            passes = np.union1d(survivors_i, survivors_ii)
-        # a station listed twice credits its class twice
-        credit = np.bincount(passes, minlength=n)[classes[0]]
-        weights += np.bincount(classes[1], weights=credit, minlength=n).astype(int)
+        survives_ii = np.zeros(n, dtype=bool)
+        survives_ii[matern_type_ii(near, _fresh_marks(rng, n))] = True
+        credit_ii += np.bincount(cj[survives_ii[ci] & counted], minlength=n)
+        weights = iteration * credit_i + credit_ii
         if np.all(weights > 0):
             return ClassWeights(classes, weights, iteration)
     raise ConvergenceError(np.flatnonzero(weights == 0))

@@ -31,7 +31,8 @@ class SimpleGraph:
         cols = np.concatenate((j, i)).astype(np.intp)
         if np.any(rows == cols):
             raise ValueError("self-loops are not allowed")
-        order = np.lexsort((cols, rows))
+        # one key per directed edge; a repeated edge is rejected below
+        order = np.argsort(rows * n + cols)
         rows, cols = rows[order], cols[order]
         if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
             raise ValueError("an edge is given twice")

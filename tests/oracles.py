@@ -7,10 +7,10 @@ sizes from full subset scans, cache blocks from a rank-by-rank loop, per-user
 delivery from set unions, Matern thinnings and class weights from dense
 neighbour matrices and a survivor-by-member loop, and expected hit rates from
 integrating over a grid of the cell instead of drawing users and requests.
-The exceptions are the class weights' marks, which come from the production
-draw, and the pruned clique search, which reads the exact solver's
-bit-packed adjacency (the coloring tests check it against the full subset
-scans).
+The class weights' marks come from the production seed through a copy of
+the resample loop, so both sides see the same marks. The exception is the
+pruned clique search, which reads the exact solver's bit-packed adjacency
+(the coloring tests check it against the full subset scans).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import Iterable
 
 import numpy as np
 
-from sbscache.classify import _fresh_marks
 from sbscache.coloring import EXACT_SOLVER_LIMIT, CapacityError, Coloring, _adjacency_bits
 from sbscache.geometry import PointSet
 from sbscache.netgraph import CoverageRanges, SimpleGraph
@@ -225,33 +224,60 @@ def block_caches_reference(colors, memory: int, file_count: int) -> tuple[frozen
     return tuple(caches)
 
 
+def fresh_marks_reference(rng, n: int) -> np.ndarray:
+    """Uniform marks in [0, 1), colliding ones redrawn until all are distinct.
+
+    The resample loop as first written, with no fast path: it asks ``rng``
+    for the same draws as the production marks, so the class-weight oracle
+    sees the same marks every iteration.
+    """
+    marks = rng.random(n)
+    while True:
+        _, inverse, counts = np.unique(marks, return_inverse=True, return_counts=True)
+        dup = counts[inverse] > 1
+        if not dup.any():
+            return marks
+        marks[dup] = rng.random(int(dup.sum()))
+
+
+def hard_core_matrix(pts: PointSet, hard: float) -> np.ndarray:
+    """Dense boolean hard-core relation: ``m[i, j]`` iff i != j and d(i, j) <= hard."""
+    near = distance_matrix(pts) <= hard
+    np.fill_diagonal(near, False)
+    return near
+
+
+def matern_reference(near: np.ndarray, marks: np.ndarray) -> tuple[list[int], list[int]]:
+    """Type-I and type-II survivors of the dense hard-core matrix, as sorted lists.
+
+    Type I keeps the points with no neighbour; type II eliminates a point
+    iff some neighbour has a smaller mark.
+    """
+    beaten = near & (marks[None, :] < marks[:, None])
+    return np.flatnonzero(~near.any(axis=1)).tolist(), np.flatnonzero(~beaten.any(axis=1)).tolist()
+
+
 def class_weights_reference(
     pts: PointSet, r_class: float, seed, counting: str = "double", max_iterations: int | None = None
 ) -> tuple[tuple[frozenset[int], ...], list[int], int]:
     """Proximity classes as per-station sets, and weights from a survivor-by-member loop.
 
     Classes and hard-core neighbours (at 2 * r_class) come from the dense
-    distance matrix; type I keeps the rows of the neighbour matrix with no
-    neighbour, and type II the rows with no neighbour of a smaller mark.
-    Marks come from the production draw so that every iteration sees the
-    same marks. Returns (classes, weights, iterations_used); raises
-    RuntimeError if the budget runs out.
+    distance matrix, and both thinnings from ``matern_reference``. Marks
+    come from ``fresh_marks_reference`` on the production seed, so that
+    every iteration sees the same marks. Returns (classes, weights,
+    iterations_used); raises RuntimeError if the budget runs out.
     """
     n = len(pts)
-    d = distance_matrix(pts)
-    members = d <= r_class
+    members = distance_matrix(pts) <= r_class
     classes = tuple(frozenset(np.flatnonzero(row).tolist()) for row in members)
-    near = d <= 2.0 * r_class
-    np.fill_diagonal(near, False)
+    near = hard_core_matrix(pts, 2.0 * r_class)
     weights = [0] * n
     if n == 0:
         return classes, weights, 0
     rng = np.random.default_rng(seed)
-    survivors_i = np.flatnonzero(~near.any(axis=1)).tolist()
     for iteration in range(1, (max_iterations or 10 * n) + 1):
-        marks = _fresh_marks(rng, n)
-        beaten = near & (marks[None, :] < marks[:, None])
-        survivors_ii = np.flatnonzero(~beaten.any(axis=1)).tolist()
+        survivors_i, survivors_ii = matern_reference(near, fresh_marks_reference(rng, n))
         if counting == "double":
             passes = survivors_i + survivors_ii
         else:

@@ -21,7 +21,13 @@ from sbscache.coloring import (
     greedy_color_by_weight,
     VertexWeights,
 )
-from sbscache.geometry import matern_type_i, matern_type_ii, pairs_within, sample_binomial_disk
+from sbscache.geometry import (
+    matern_type_i,
+    matern_type_ii,
+    neighbour_list,
+    pairs_within,
+    sample_binomial_disk,
+)
 from sbscache.netgraph import threshold_graph
 from sbscache.placement import place_by_coloring, place_most_popular
 from sbscache.popularity import Catalog, sample_requests, top_mass, zipf_pmf
@@ -171,8 +177,8 @@ def test_criterion_2_matern_suite():
         pts = sample_binomial_disk(n, 200.0, rng)
         hard = float(rng.uniform(5.0, 50.0))
         pi, pj = pairs_within(pts, pts, np.full(n, hard))
-        near = pi[pi != pj], pj[pi != pj]
-        kept_i = matern_type_i(near, n)
+        near = neighbour_list(n, pi[pi != pj], pj[pi != pj])
+        kept_i = matern_type_i(near)
         marks = rng.permutation(max(n, 1))[:n] / max(n, 1)
         kept_ii = matern_type_ii(near, marks)
         assert min_pairwise_distance(pts.xy[kept_i]) > hard

@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbscache import classify
@@ -17,10 +17,10 @@ from sbscache.classify import (
     classweights_to_csv,
 )
 from sbscache.coloring import VertexWeights
-from sbscache.geometry import PointSet
+from sbscache.geometry import PointSet, pairs_within
 from sbscache.netgraph import build_class_graph
 
-from oracles import class_matrix, class_weights_reference
+from oracles import class_matrix, class_weights_reference, fresh_marks_reference
 
 
 def ptset(coords, radius=1000.0):
@@ -77,13 +77,13 @@ def test_mid_pair_needs_multiple_iterations():
 
 
 def test_distances_computed_once_per_classification(monkeypatch):
-    # classes and both thinnings take their pairs from two pair-kernel
-    # calls, however many Matern iterations the network needs
+    # classes and both thinnings take their pairs from one pair-kernel call,
+    # at the hard-core distance, however many Matern iterations it needs
     calls = []
     original = classify.distance_matrix
 
     def counted(a, b, radius):
-        calls.append((len(a), len(b)))
+        calls.append((len(a), len(b), set(radius.tolist())))
         return original(a, b, radius)
 
     monkeypatch.setattr(classify, "distance_matrix", counted)
@@ -91,7 +91,54 @@ def test_distances_computed_once_per_classification(monkeypatch):
     pts = PointSet(rng.uniform(-100, 100, size=(30, 2)), 200.0)
     cw = classify_and_weigh(pts, 30.0, seed=7)
     assert cw.iterations_used >= 3
-    assert calls == [(30, 30)] * 2
+    assert calls == [(30, 30, {60.0})]
+
+
+@given(st.lists(st.tuples(st.floats(-150, 150), st.floats(-150, 150)), max_size=30),
+       st.floats(min_value=1.0, max_value=80.0))
+# pairs at exactly r_class (3-4-5 and on an axis) and at exactly 2 * r_class
+@example([(0, 0), (3, 4), (10, 0), (0, 10), (-5, 0)], 5.0)
+@example([(0, 0), (6, 8), (0, 20), (20, 0), (0, -10)], 10.0)
+@settings(max_examples=100, deadline=None)
+def test_class_pairs_are_the_kernel_pairs_at_r_class(coords, r_class):
+    pts = ptset(coords, radius=300.0)
+    cw = classify_and_weigh(pts, r_class, seed=1)
+    expected = pairs_within(pts, pts, np.full(len(pts), r_class))
+    assert cw.classes[0].size == expected[0].size
+    assert set(zip(*(a.tolist() for a in cw.classes))) == set(zip(*(a.tolist() for a in expected)))
+
+
+class ScriptedRng:
+    """A stand-in generator whose ``random(size)`` returns scripted draws in order."""
+
+    def __init__(self, *draws):
+        self.draws = [np.array(d, dtype=float) for d in draws]
+        self.sizes = []
+
+    def random(self, size):
+        out = self.draws[len(self.sizes)].copy()
+        self.sizes.append(size)
+        assert out.size == size
+        return out
+
+
+@pytest.mark.parametrize(
+    "draws",
+    [
+        ([0.5, 0.2, 0.9],),
+        ([0.5, 0.2, 0.5, 0.7], [0.9, 0.1]),
+        # the redraw collides with a kept mark, so a third draw follows
+        ([0.5, 0.2, 0.5, 0.7], [0.2, 0.3], [0.4, 0.6]),
+    ],
+    ids=["distinct", "one-redraw", "two-redraws"],
+)
+def test_fresh_marks_consume_the_reference_draws(draws):
+    fast, reference = ScriptedRng(*draws), ScriptedRng(*draws)
+    n = len(draws[0])
+    marks = classify._fresh_marks(fast, n)
+    assert marks.tolist() == fresh_marks_reference(reference, n).tolist()
+    assert fast.sizes == reference.sizes and len(fast.sizes) == len(draws)
+    assert np.unique(marks).size == n
 
 
 def test_convergence_error_reports_zero_weight_indices():

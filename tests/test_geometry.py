@@ -12,11 +12,12 @@ from sbscache.geometry import (
     PointSet,
     matern_type_i,
     matern_type_ii,
+    neighbour_list,
     pairs_within,
     sample_binomial_disk,
 )
 
-from oracles import distance_matrix, min_pairwise_distance
+from oracles import distance_matrix, hard_core_matrix, matern_reference, min_pairwise_distance
 
 
 def ptset(coords, radius=1000.0):
@@ -24,13 +25,13 @@ def ptset(coords, radius=1000.0):
 
 
 def near(pts, hard):
-    """The hard-core pairs of ``pts``: every (i, j), i != j, with d <= hard."""
+    """The hard-core neighbour list of ``pts``: every (i, j), i != j, with d <= hard, as CSR."""
     i, j = pairs_within(pts, pts, np.full(len(pts), hard))
-    return i[i != j], j[i != j]
+    return neighbour_list(len(pts), i[i != j], j[i != j])
 
 
 def thin_i(pts, hard):
-    return matern_type_i(near(pts, hard), len(pts))
+    return matern_type_i(near(pts, hard))
 
 
 def test_binomial_disk_empty():
@@ -297,4 +298,24 @@ def test_matern_ii_respects_hard_distance_and_contains_type_i(pts, hard, seed):
 @settings(max_examples=50)
 def test_matern_outputs_deterministic(pts):
     assert thin_i(pts, 10.0).tolist() == thin_i(pts, 10.0).tolist()
+
+
+
+@given(disk_point_sets(), st.floats(min_value=1.0, max_value=60.0), st.integers(0, 2**31))
+@example(ptset([]), 5.0, 0)
+@example(ptset([(0, 0)]), 5.0, 0)
+# an isolated point beside a pair at exactly the hard distance (3-4-5)
+@example(ptset([(0, 0), (3, 4), (40, 0)]), 5.0, 1)
+@example(ptset([(0, 0), (3, 4), (40, 0)]), 5.0, 2)
+# coincident points, one of them with a third point in range
+@example(ptset([(7, 7), (7, 7), (7, 9), (50, 50), (50, 50)]), 3.0, 3)
+@settings(max_examples=150)
+def test_csr_thinnings_match_the_dense_oracle(pts, hard, seed):
+    # eliminated iff a neighbour within the hard distance has a smaller mark;
+    # type I keeps the points with no such neighbour at all
+    marks = np.random.default_rng(seed).permutation(len(pts)) / max(len(pts), 1)
+    kept_i, kept_ii = matern_reference(hard_core_matrix(pts, hard), marks)
+    csr = near(pts, hard)
+    assert matern_type_i(csr).tolist() == kept_i
+    assert matern_type_ii(csr, marks).tolist() == kept_ii
 
