@@ -63,17 +63,15 @@ class ClassWeights:
 
 
 def _fresh_marks(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform marks in [0, 1); collisions are resampled so marks stay distinct."""
+    """Uniform marks in [0, 1); every mark of a tied value is redrawn, in index order."""
     marks = rng.random(n)
-    ordered = np.sort(marks)
-    if not np.any(ordered[1:] == ordered[:-1]):
-        return marks
     while True:
-        _, inverse, counts = np.unique(marks, return_inverse=True, return_counts=True)
-        dup = counts[inverse] > 1
-        if not dup.any():
+        ordered = np.sort(marks)
+        tied = ordered[1:][ordered[1:] == ordered[:-1]]
+        if not tied.size:
             return marks
-        marks[dup] = rng.random(int(dup.sum()))
+        redraw = np.isin(marks, tied)
+        marks[redraw] = rng.random(int(redraw.sum()))
 
 
 def classify_and_weigh(

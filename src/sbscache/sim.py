@@ -6,10 +6,11 @@ are mobile, so their positions are redrawn each round; a request is a hit
 iff some SBS covering the user caches the requested file. The macro station
 serves every miss, so its load is 1 - hit_rate.
 
-All randomness flows from one master seed through named substreams, so two
-policies run with the same seed see identical networks, users and requests
-(paired comparisons), and results are bit-reproducible regardless of how
-many worker threads execute the replications.
+All randomness flows from one master seed: replication i draws each stage
+from a fixed path below the master seed's i-th child (``_stream`` lists the
+paths), so two policies run with the same seed see identical networks, users
+and requests (paired comparisons), and results are bit-reproducible
+regardless of how many worker threads execute the replications.
 
 A sweep draws those shared stages once per replication seed: the first cell
 at an axis value builds each replication's network, users, requests and
@@ -231,35 +232,14 @@ def _narrow(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PackedRounds:
-    """A replication's access pairs and requests, as a sweep's store keeps them.
-
-    User-round i is covered by ``counts[i]`` stations, listed in
-    ``stations`` user-round by user-round, and requested ``ranks[i]``.
-    """
-
-    counts: np.ndarray
-    stations: np.ndarray
-    ranks: np.ndarray
-
-    @classmethod
-    def pack(cls, u: np.ndarray, j: np.ndarray, ranks: np.ndarray) -> "PackedRounds":
-        order = np.argsort(u, kind="stable")
-        return cls(_narrow(np.bincount(u, minlength=len(ranks))), _narrow(j[order]), _narrow(ranks))
-
-    def unpack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pairs ``(u, j)``, sorted by user-round, and the ranks."""
-        return np.repeat(np.arange(self.counts.size), self.counts), self.stations, self.ranks
-
-
 class SharedStages:
     """The shared stages of one sweep's replications, for one key at a time.
 
-    Entries are keyed by the full shared-stage key and the replication seed,
-    so a lookup can only return what the caller would have computed itself.
-    ``open`` drops every entry when the key changes; an entry holds the
-    replication's ``"network"`` and, once measured, its ``"rounds"``.
+    Entries are keyed by the full shared-stage key and the replication seed
+    (its entropy, the master seed, and its spawn key, the index), so a lookup
+    can only return what the caller would have computed itself. Storing
+    under a new key drops every entry; an entry holds the replication's
+    ``"network"`` and, once measured, its ``"rounds"``.
     """
 
     def __init__(self):
@@ -267,25 +247,17 @@ class SharedStages:
         self._key: tuple | None = None
         self._entries: dict[tuple, dict[str, object]] = {}
 
-    def open(self, key: tuple) -> None:
-        with self._lock:
-            if key != self._key:
-                self._key = key
-                self._entries = {}
-
-    def get(self, key: tuple, rep_seed, stage: str):
-        entry = self._entries.get((key, _seed_id(rep_seed)))
-        return None if entry is None else entry.get(stage)
-
-    def put(self, key: tuple, rep_seed, stage: str, value) -> None:
-        with self._lock:
-            if key == self._key:
-                self._entries.setdefault((key, _seed_id(rep_seed)), {})[stage] = value
-
-
-def _seed_id(rep_seed) -> tuple:
-    """A replication seed as a key: its entropy (the master seed) and spawn key (the index)."""
-    return rep_seed.entropy, rep_seed.spawn_key
+    def fetch(self, key: tuple, rep_seed, stage: str, draw):
+        """The entry's ``stage``, or ``draw()`` stored as the entry's ``stage``."""
+        entry_id = key, (rep_seed.entropy, rep_seed.spawn_key)
+        value = self._entries.get(entry_id, {}).get(stage)
+        if value is None:
+            value = draw()
+            with self._lock:
+                if key != self._key:
+                    self._key, self._entries = key, {}
+                self._entries.setdefault(entry_id, {})[stage] = value
+        return value
 
 
 # The open sweep's store, or None. It is a module-level slot rather than an
@@ -296,12 +268,12 @@ _sweep_store: SharedStages | None = None
 _sweep_store_lock = threading.Lock()
 
 
-def _open_store(cfg: ScenarioConfig, rep_seed) -> tuple[SharedStages | None, tuple | None]:
-    """The open sweep store and the replication's key in it, or (None, None)."""
+def _shared(cfg: ScenarioConfig, rep_seed, stage: str, draw, keep):
+    """``draw()``; in a sweep, ``keep(draw())`` drawn once per replication seed and stored."""
     store = _sweep_store
     if store is None or not isinstance(rep_seed, np.random.SeedSequence):
-        return None, None
-    return store, shared_stage_key(cfg)
+        return draw()
+    return store.fetch(shared_stage_key(cfg), rep_seed, stage, lambda: keep(draw()))
 
 
 @dataclass
@@ -348,44 +320,48 @@ def replication_seeds(master_seed: int, n: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(master_seed).spawn(n)
 
 
-def _substreams(seed, n: int) -> list[np.random.SeedSequence]:
-    """Spawn n children without mutating the caller's SeedSequence."""
-    if isinstance(seed, np.random.SeedSequence):
-        base = np.random.SeedSequence(entropy=seed.entropy, spawn_key=seed.spawn_key)
-    else:
-        base = np.random.SeedSequence(seed)
-    return base.spawn(n)
+def _stream(rep_seed, *path: int) -> np.random.SeedSequence:
+    """The child of ``rep_seed`` that nested ``spawn`` calls reach along ``path``.
+
+    Layout: (0,) station positions, (1,) coverage ranges, (2,) Matern marks,
+    (3, r, 0) round r's users and (3, r, 1) round r's requests. The child is
+    built directly, so the caller's SeedSequence spawns nothing; an int seed
+    is wrapped in a SeedSequence first.
+    """
+    if not isinstance(rep_seed, np.random.SeedSequence):
+        rep_seed = np.random.SeedSequence(rep_seed)
+    return np.random.SeedSequence(rep_seed.entropy, spawn_key=rep_seed.spawn_key + path)
+
+
+def _read_only(network: tuple[PointSet, CoverageRanges]) -> tuple[PointSet, CoverageRanges]:
+    sbs, ranges = network
+    sbs.xy.flags.writeable = False
+    ranges.ranges.flags.writeable = False
+    return network
 
 
 def build_network(cfg: ScenarioConfig, rep_seed) -> tuple[PointSet, CoverageRanges]:
-    """Replication steps 1-2: SBS positions and coverage ranges, from substreams 0 and 1.
+    """Replication steps 1-2: SBS positions from stream (0,), coverage ranges from (1,).
 
-    In a sweep, a network an earlier cell drew is read from the store.
+    In a sweep, each replication's network is drawn once and kept read-only.
     """
-    store, key = _open_store(cfg, rep_seed)
-    if store is not None:
-        network = store.get(key, rep_seed, "network")
-        if network is not None:
-            return network
-    s_sbs, s_ranges = _substreams(rep_seed, 4)[:2]
-    sbs = sample_binomial_disk(cfg.n_sbs, cfg.cell_radius, s_sbs)
-    rng = np.random.default_rng(s_ranges)
-    if cfg.uses_range_interval():
-        ranges = rng.uniform(cfg.sbs_range_min, cfg.sbs_range_max, cfg.n_sbs)
-    else:
-        ranges = np.full(cfg.n_sbs, float(cfg.sbs_range))
-    network = sbs, CoverageRanges(ranges)
-    if store is not None:
-        sbs.xy.flags.writeable = False
-        network[1].ranges.flags.writeable = False
-        store.put(key, rep_seed, "network", network)
-    return network
+
+    def draw():
+        sbs = sample_binomial_disk(cfg.n_sbs, cfg.cell_radius, _stream(rep_seed, 0))
+        if cfg.uses_range_interval():
+            rng = np.random.default_rng(_stream(rep_seed, 1))
+            ranges = rng.uniform(cfg.sbs_range_min, cfg.sbs_range_max, cfg.n_sbs)
+        else:
+            ranges = np.full(cfg.n_sbs, float(cfg.sbs_range))
+        return sbs, CoverageRanges(ranges)
+
+    return _shared(cfg, rep_seed, "network", draw, _read_only)
 
 
 def build_policy_artifacts(
     cfg: ScenarioConfig, sbs: PointSet, ranges: CoverageRanges, rep_seed, catalog: Catalog
 ) -> PolicyArtifacts:
-    """Replication step 3: the policy's placement pipeline; Matern marks use substream 2."""
+    """Replication step 3: the policy's placement pipeline; Matern marks use stream (2,)."""
     n = len(sbs)
     if n == 0:
         return PolicyArtifacts(None, None, None, Placement([], cfg.memory, cfg.file_count))
@@ -407,7 +383,7 @@ def build_policy_artifacts(
     cw = classify_and_weigh(
         sbs,
         cfg.r_class,
-        _substreams(rep_seed, 4)[2],
+        _stream(rep_seed, 2),
         max_iterations=cfg.max_matern_iterations,
         survivor_counting=cfg.survivor_counting,
     )
@@ -427,32 +403,27 @@ def measure_hit_rate(
 ) -> float:
     """Replication steps 4-5: play the request rounds against a fixed placement.
 
-    Per round, user positions are redrawn and each user issues
-    ``requests_per_round`` Zipf requests; a request is a hit iff some
-    accessible SBS caches the requested rank. The rounds split substream 3,
-    each drawing its users and requests from its own substreams; the users
-    of all rounds then go through one access kernel call. In a sweep, the
-    pairs and ranks an earlier cell found are read from the store.
+    Round r redraws the user positions from stream (3, r, 0), and each user
+    issues ``requests_per_round`` Zipf requests from stream (3, r, 1). The
+    users of all rounds go through one access kernel call, which gives the
+    pairs (u, j): user-round u is covered by station j. A request is a hit
+    iff some such station caches the requested rank. In a sweep, each
+    replication's pairs and ranks are drawn once and kept narrowed.
     """
     n_users, q = cfg.n_users, cfg.requests_per_round
     if cfg.n_rounds * n_users * q == 0:
         return 0.0
-    store, key = _open_store(cfg, rep_seed)
-    packed = None if store is None else store.get(key, rep_seed, "rounds")
-    if packed is None:
+
+    def draw():
         xy = np.empty((cfg.n_rounds, n_users, 2))
         ranks = np.empty((cfg.n_rounds, n_users * q), dtype=np.intp)
-        for r, round_seed in enumerate(_substreams(_substreams(rep_seed, 4)[3], cfg.n_rounds)):
-            s_users, s_requests = _substreams(round_seed, 2)
-            xy[r] = sample_binomial_disk(n_users, cfg.cell_radius, s_users).xy
-            ranks[r] = sample_requests(catalog, n_users * q, np.random.default_rng(s_requests))
-        users = PointSet(xy.reshape(-1, 2), cfg.cell_radius)
-        ranks = ranks.reshape(-1, q)  # request i of a round belongs to its user i // q
-        u, j = access_pairs(users, sbs, ranges)
-        if store is not None:
-            store.put(key, rep_seed, "rounds", PackedRounds.pack(u, j, ranks))
-    else:
-        u, j, ranks = packed.unpack()
+        for r in range(cfg.n_rounds):
+            xy[r] = sample_binomial_disk(n_users, cfg.cell_radius, _stream(rep_seed, 3, r, 0)).xy
+            ranks[r] = sample_requests(catalog, n_users * q, _stream(rep_seed, 3, r, 1))
+        u, j = access_pairs(PointSet(xy.reshape(-1, 2), cfg.cell_radius), sbs, ranges)
+        return u, j, ranks.reshape(-1, q)  # request i of a round belongs to its user i // q
+
+    u, j, ranks = _shared(cfg, rep_seed, "rounds", draw, lambda rounds: tuple(map(_narrow, rounds)))
     pmat = placement_matrix(placement)
     pair, request = np.nonzero(pmat[j[:, None], ranks[u] - 1])
     hit = np.zeros(ranks.shape, dtype=bool)
@@ -474,14 +445,10 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> SimResult:
 
     Replication i always uses the i-th seed derived from ``master_seed`` and
     aggregation follows replication order, so the result does not depend on
-    how the replications were scheduled. Inside a sweep, the sweep's store
-    is opened on this config's shared-stage key first.
+    how the replications were scheduled.
     """
     _check_workers(workers)
     cfg.validate()
-    store = _sweep_store
-    if store is not None:
-        store.open(shared_stage_key(cfg))
     seeds = replication_seeds(cfg.master_seed, cfg.replications)
 
     def one(indexed) -> tuple[float, int]:
@@ -530,7 +497,7 @@ def sweep(
     ValueError at once.
 
     Cells run in order, one ``run_scenario`` call each, with a
-    ``SharedStages`` store open: the first cell at an axis value draws each
+    ``SharedStages`` store in the slot: the first cell at an axis value draws each
     replication's shared stages and the cells after it read them back. The
     store is dropped when the sweep ends or fails.
     """

@@ -52,7 +52,7 @@ from oracles import (
 )
 
 ACCEPT_SEED = 20260808
-WORKERS = 8
+WORKERS = 2
 POLICY_LABELS = ("baseline", "threshold_coloring", "matern_coloring")
 FIG4_ALPHAS = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2)
 PAPER_LOAD_REDUCTION = 0.25  # the paper's figure for "a typical considered SBSs network"

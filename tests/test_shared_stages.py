@@ -97,12 +97,15 @@ def test_store_key_covers_every_shared_input(name):
 
 
 def test_runs_outside_a_sweep_pack_nothing(monkeypatch):
-    # packing costs time; only a sweep, whose later cells unpack, may pay it
+    # narrowing costs time; only a sweep, whose later cells read the store, may pay it
     def refuse(*args):
-        raise AssertionError("packed outside a sweep")
+        raise AssertionError("narrowed or stored outside a sweep")
 
-    monkeypatch.setattr(sim.PackedRounds, "pack", refuse)
+    monkeypatch.setattr(sim, "_narrow", refuse)
+    monkeypatch.setattr(sim.SharedStages, "fetch", refuse)
     run_scenario(dataclasses.replace(SMALL, policy="matern_coloring"), workers=2)
+    sbs, ranges = sim.build_network(SMALL, sim.replication_seeds(SMALL.master_seed, 1)[0])
+    assert sbs.xy.flags.writeable and ranges.ranges.flags.writeable
 
 
 def test_store_is_dropped_after_a_sweep_and_runs_stay_fresh():
@@ -135,12 +138,12 @@ def test_store_holds_one_key_in_minimal_dtypes(monkeypatch):
         assert len(store._entries) <= cfg_cell.replications
         for entry in store._entries.values():
             assert set(entry) == {"network", "rounds"}
-            packed = entry["rounds"]
-            for a in (packed.counts, packed.stations, packed.ranks):
+            u, j, ranks = entry["rounds"]
+            for a in (u, j, ranks):
                 assert a.dtype == np.min_scalar_type(a.max(initial=0))
                 assert not a.flags.writeable
-            assert int(packed.counts.sum()) == packed.stations.size
-            assert packed.ranks.shape == (
+            assert u.size == j.size
+            assert ranks.shape == (
                 cfg_cell.n_rounds * cfg_cell.n_users, cfg_cell.requests_per_round
             )
 

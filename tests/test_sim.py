@@ -21,7 +21,6 @@ from sbscache.sim import (
     ScenarioConfig,
     SimResult,
     SWEEP_CSV_HEADER,
-    _substreams,
     build_network,
     build_policy_artifacts,
     mbs_load_reduction,
@@ -38,6 +37,49 @@ SMALL = ScenarioConfig(
     n_sbs=12, n_users=200, n_rounds=3, replications=4, master_seed=99,
     file_count=200, memory=20,
 )
+
+
+def spawned(seed, path) -> np.random.SeedSequence:
+    """The stream at ``path`` by numpy's own nested spawns.
+
+    ``seed`` is an int, or ``(master_seed, i)`` for replication i. Spawning
+    advances the parent, so every call starts again from a fresh root.
+    """
+    if isinstance(seed, int):
+        node = np.random.SeedSequence(seed)
+    else:
+        master_seed, i = seed
+        node = np.random.SeedSequence(master_seed).spawn(i + 1)[i]
+    for k in path:
+        node = node.spawn(k + 1)[k]
+    return node
+
+
+@pytest.mark.parametrize("seed", [(SMALL.master_seed, 0), (SMALL.master_seed, 3), 5])
+def test_stream_layout_matches_nested_spawns(seed):
+    rep_seed = seed if isinstance(seed, int) else replication_seeds(seed[0], seed[1] + 1)[seed[1]]
+    n_rounds = 4
+    paths = [(0,), (1,), (2,)] + [(3, r, k) for r in range(n_rounds) for k in (0, 1)]
+    for path in paths:
+        expected = spawned(seed, path).generate_state(4)
+        assert sim._stream(rep_seed, *path).generate_state(4).tolist() == expected.tolist()
+    # the network stage draws positions from (0,) and interval ranges from (1,)
+    cfg = dataclasses.replace(SMALL, sbs_range=None, sbs_range_min=40.0, sbs_range_max=90.0)
+    sbs, ranges = build_network(cfg, rep_seed)
+    expected_sbs = sample_binomial_disk(cfg.n_sbs, cfg.cell_radius, spawned(seed, (0,)))
+    assert sbs.xy.tolist() == expected_sbs.xy.tolist()
+    rng = np.random.default_rng(spawned(seed, (1,)))
+    assert ranges.ranges.tolist() == rng.uniform(40.0, 90.0, cfg.n_sbs).tolist()
+
+
+def test_stages_leave_the_callers_seed_unspawned():
+    cfg = dataclasses.replace(SMALL, policy="matern_coloring")
+    rep_seed = replication_seeds(cfg.master_seed, 1)[0]
+    catalog = Catalog(cfg.file_count, cfg.alpha)
+    sbs, ranges = build_network(cfg, rep_seed)
+    placement = build_policy_artifacts(cfg, sbs, ranges, rep_seed, catalog).placement
+    measure_hit_rate(cfg, sbs, ranges, placement, rep_seed, catalog)
+    assert rep_seed.n_children_spawned == 0
 
 
 def test_no_sbs_means_no_hits():
@@ -154,11 +196,10 @@ def test_vectorized_hits_match_delivery_map_semantics(
     measured = measure_hit_rate(cfg, sbs, sbs_ranges, placement, rep_seed, catalog)
 
     hits = total = 0
-    s_rounds = _substreams(rep_seed, 4)[3]
-    for round_seed in _substreams(s_rounds, cfg.n_rounds):
-        s_users, s_requests = _substreams(round_seed, 2)
-        users = sample_binomial_disk(n_users, cfg.cell_radius, s_users)
-        ranks = sample_requests(catalog, n_users * q, np.random.default_rng(s_requests))
+    for r in range(cfg.n_rounds):
+        users = sample_binomial_disk(n_users, cfg.cell_radius, spawned((seed, 0), (3, r, 0)))
+        rng = np.random.default_rng(spawned((seed, 0), (3, r, 1)))
+        ranks = sample_requests(catalog, n_users * q, rng)
         delivery = build_delivery_map(placement.caches, build_access_map(users, sbs, sbs_ranges))
         # request i belongs to user i // q
         hits += sum(int(rank) in delivery.sets[i // q] for i, rank in enumerate(ranks))
