@@ -7,7 +7,11 @@ wrap-around occurs. When q * M exceeds the catalog, the block wraps back to
 rank 1 so no cache is left underfilled.
 
 A placement is therefore fully described by its color vector, M and the
-catalog size; the cached sets and the boolean matrix are derived from them.
+catalog size; everything else is derived from them. The measure stage reads
+the per-color block table (``color_table``): row q - 1 marks color q's
+block, so station j holds rank r iff ``table[colors[j] - 1, r - 1]``, and a
+rank that no row marks is a miss wherever it is requested. The per-station
+matrix, cached sets and CSV are for inspection.
 """
 
 from __future__ import annotations
@@ -44,13 +48,18 @@ class Placement:
 
     def columns(self) -> np.ndarray:
         """(n_sbs, memory) 0-based catalog columns: ((q-1)*M + t) mod F."""
-        start = (self.colors[:, None] - 1) * self.memory
-        return (start + np.arange(self.memory)) % self.file_count
+        return _blocks(self.colors, self.memory, self.file_count)
 
     @property
     def caches(self) -> tuple[frozenset[int], ...]:
         """Per-SBS set of cached 1-based ranks."""
         return tuple(frozenset((row + 1).tolist()) for row in self.columns())
+
+
+def _blocks(colors: np.ndarray, memory: int, file_count: int) -> np.ndarray:
+    """(len(colors), memory) 0-based catalog columns of each color's block."""
+    start = (colors[:, None] - 1) * memory
+    return (start + np.arange(memory)) % file_count
 
 
 def place_by_coloring(c: Coloring, catalog: Catalog, memory: int) -> Placement:
@@ -67,11 +76,18 @@ def place_most_popular(n_sbs: int, catalog: Catalog, memory: int) -> Placement:
     return Placement(np.ones(n_sbs, dtype=int), memory, catalog.file_count)
 
 
+def color_table(placement: Placement) -> np.ndarray:
+    """Boolean (colors_used, file_count) table: entry (q - 1, f) iff color q caches rank f + 1."""
+    k = int(placement.colors.max(initial=0))
+    table = np.zeros((k, placement.file_count), dtype=bool)
+    colors = np.arange(1, k + 1)
+    table[colors[:, None] - 1, _blocks(colors, placement.memory, placement.file_count)] = True
+    return table
+
+
 def placement_matrix(placement: Placement) -> np.ndarray:
     """Boolean (n_sbs, file_count) matrix: entry (j, f) iff SBS j caches rank f + 1."""
-    mat = np.zeros((placement.n_sbs, placement.file_count), dtype=bool)
-    mat[np.arange(placement.n_sbs)[:, None], placement.columns()] = True
-    return mat
+    return color_table(placement)[placement.colors - 1]
 
 
 def placement_to_csv(placement: Placement) -> str:

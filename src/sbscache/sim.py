@@ -12,11 +12,19 @@ paths), so two policies run with the same seed see identical networks, users
 and requests (paired comparisons), and results are bit-reproducible
 regardless of how many worker threads execute the replications.
 
+Only a request for a rank that some color of the placement caches can hit,
+so the measure stage finds the covering stations of the live user-rounds
+alone: those with at least one such request. The ranks come from the
+catalog's guide table, and each (user-round, station) pair is scored through
+the placement's per-color block table.
+
 A sweep draws those shared stages once per replication seed: the first cell
 at an axis value builds each replication's network, users, requests and
 access pairs and keeps them in a ``SharedStages`` store, and every later
 cell that differs only in placement-only fields (``PLACEMENT_ONLY_FIELDS``)
-reads them back instead of drawing them again.
+reads them back instead of drawing them again. The later cells' placements
+are not known when the first cell draws, so a stored draw takes the access
+pairs of every user-round.
 """
 
 from __future__ import annotations
@@ -50,7 +58,15 @@ from .netgraph import (
     threshold_graph,
     universal_threshold,
 )
-from .placement import Placement, place_by_coloring, place_most_popular, placement_matrix
+from .placement import (
+    Placement,
+    color_table,
+    place_by_coloring,
+    place_most_popular,
+    # perfbench/spans.py wraps ``sim.placement_matrix``; the measure stage
+    # scores through ``color_table``, so that span reads zero until remapped
+    placement_matrix,
+)
 from .popularity import Catalog, sample_requests
 
 # perfbench/spans.py times the access stage by wrapping ``sim.access_matrix``.
@@ -269,11 +285,14 @@ _sweep_store_lock = threading.Lock()
 
 
 def _shared(cfg: ScenarioConfig, rep_seed, stage: str, draw, keep):
-    """``draw()``; in a sweep, ``keep(draw())`` drawn once per replication seed and stored."""
+    """``draw(False)``; in a sweep, ``keep(draw(True))`` drawn once per replication seed and stored.
+
+    ``draw``'s argument says whether its result will serve other cells too.
+    """
     store = _sweep_store
     if store is None or not isinstance(rep_seed, np.random.SeedSequence):
-        return draw()
-    return store.fetch(shared_stage_key(cfg), rep_seed, stage, lambda: keep(draw()))
+        return draw(False)
+    return store.fetch(shared_stage_key(cfg), rep_seed, stage, lambda: keep(draw(True)))
 
 
 @dataclass
@@ -346,7 +365,7 @@ def build_network(cfg: ScenarioConfig, rep_seed) -> tuple[PointSet, CoverageRang
     In a sweep, each replication's network is drawn once and kept read-only.
     """
 
-    def draw():
+    def draw(_stored):
         sbs = sample_binomial_disk(cfg.n_sbs, cfg.cell_radius, _stream(rep_seed, 0))
         if cfg.uses_range_interval():
             rng = np.random.default_rng(_stream(rep_seed, 1))
@@ -404,30 +423,39 @@ def measure_hit_rate(
     """Replication steps 4-5: play the request rounds against a fixed placement.
 
     Round r redraws the user positions from stream (3, r, 0), and each user
-    issues ``requests_per_round`` Zipf requests from stream (3, r, 1). The
-    users of all rounds go through one access kernel call, which gives the
-    pairs (u, j): user-round u is covered by station j. A request is a hit
-    iff some such station caches the requested rank. In a sweep, each
-    replication's pairs and ranks are drawn once and kept narrowed.
+    issues ``requests_per_round`` Zipf requests from stream (3, r, 1). A
+    user-round is live when one of its requests asks for a rank in the
+    ``cached`` mask: every rank some color of the placement caches. The live
+    user-rounds of all rounds go through one access kernel call, which gives
+    the pairs (u, j): user-round u is covered by station j. A request is a
+    hit iff some such station caches the requested rank, read from the
+    per-color block table. A request of a user-round that is not live is a
+    miss whatever covers it. In a sweep, each replication's pairs and ranks
+    are drawn once and kept narrowed for every cell at the axis value, so
+    ``cached`` is then all ranks and the pairs cover all user-rounds.
     """
     n_users, q = cfg.n_users, cfg.requests_per_round
     if cfg.n_rounds * n_users * q == 0:
         return 0.0
+    table = color_table(placement)
 
-    def draw():
+    def draw(stored):
+        cached = np.ones(catalog.file_count, dtype=bool) if stored else table.any(axis=0)
         xy = np.empty((cfg.n_rounds, n_users, 2))
         ranks = np.empty((cfg.n_rounds, n_users * q), dtype=np.intp)
         for r in range(cfg.n_rounds):
             xy[r] = sample_binomial_disk(n_users, cfg.cell_radius, _stream(rep_seed, 3, r, 0)).xy
             ranks[r] = sample_requests(catalog, n_users * q, _stream(rep_seed, 3, r, 1))
-        u, j = access_pairs(PointSet(xy.reshape(-1, 2), cfg.cell_radius), sbs, ranges)
-        return u, j, ranks.reshape(-1, q)  # request i of a round belongs to its user i // q
+        ranks = ranks.reshape(-1, q)  # request i of a round belongs to its user i // q
+        live = np.flatnonzero(cached[ranks - 1].any(axis=1))
+        u, j = access_pairs(PointSet(xy.reshape(-1, 2)[live], cfg.cell_radius), sbs, ranges)
+        return live[u], j, ranks
 
     u, j, ranks = _shared(cfg, rep_seed, "rounds", draw, lambda rounds: tuple(map(_narrow, rounds)))
-    pmat = placement_matrix(placement)
-    pair, request = np.nonzero(pmat[j[:, None], ranks[u] - 1])
+    # flat indices into the (pair, request) grid of the requests their station caches
+    cached_at = np.flatnonzero(table[(placement.colors - 1)[j, None], ranks[u] - 1])
     hit = np.zeros(ranks.shape, dtype=bool)
-    hit[u[pair], request] = True
+    hit[u[cached_at // q], cached_at % q] = True
     return int(hit.sum()) / ranks.size
 
 

@@ -295,6 +295,12 @@ def zipf_pmf_reference(rank: int, alpha: float, file_count: int) -> float:
     return rank ** (-alpha) / norm
 
 
+def rank_lookup_reference(catalog: Catalog, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF ranks by binary search over the cumulative table, clamped to the catalog."""
+    idx = np.searchsorted(catalog._cdf, u, side="right")
+    return np.minimum(idx, catalog.file_count - 1) + 1
+
+
 def min_pairwise_distance(xy: np.ndarray) -> float:
     if xy.shape[0] < 2:
         return math.inf

@@ -2,12 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sbscache.popularity import Catalog, sample_requests, top_mass, zipf_pmf
+from sbscache.popularity import (
+    GUIDE_BINS_PER_FILE,
+    Catalog,
+    lookup_ranks,
+    sample_requests,
+    top_mass,
+    zipf_pmf,
+)
 
-from oracles import zipf_pmf_reference
+from oracles import rank_lookup_reference, zipf_pmf_reference
 
 
 def test_uniform_when_alpha_zero():
@@ -107,3 +114,34 @@ def test_top_mass_monotone(file_count, alpha, alpha_bump):
     # for fixed 1 <= k < |F|, raising alpha concentrates mass in the head
     k = max(1, file_count // 3)
     assert top_mass(Catalog(file_count, alpha + alpha_bump), k) >= top_mass(cat, k) - 1e-12
+
+
+def _edge_uniforms(cat: Catalog) -> np.ndarray:
+    """Uniforms where a lookup can go wrong: at, just below and just above every
+    cdf entry and guide-table bin edge k/T, 0, and the largest double below 1."""
+    t = GUIDE_BINS_PER_FILE * cat.file_count
+    points = np.concatenate((cat._cdf, np.arange(t) / t))
+    u = np.concatenate((points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
+                        [0.0, np.nextafter(1.0, 0.0)]))
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+@given(
+    file_count=st.integers(1, 2000),
+    alpha=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(file_count=1, alpha=0.0, seed=0)
+@example(file_count=1000, alpha=0.6, seed=1)
+@example(file_count=1000, alpha=1.2, seed=2)
+@example(file_count=2000, alpha=3.0, seed=3)
+@settings(max_examples=60, deadline=None)
+def test_guide_table_lookup_matches_binary_search(file_count, alpha, seed):
+    cat = Catalog(file_count, alpha)
+    u = _edge_uniforms(cat)
+    assert lookup_ranks(cat, u).tolist() == rank_lookup_reference(cat, u).tolist()
+    # sampling is the lookup of the stream's uniforms; a second draw reuses the table
+    for _ in range(2):
+        drawn = sample_requests(cat, 2000, np.random.default_rng(seed))
+        uniforms = np.random.default_rng(seed).random(2000)
+        assert drawn.tolist() == rank_lookup_reference(cat, uniforms).tolist()

@@ -37,6 +37,16 @@ CUSTOM = (
     "n_sbs", [0, 9, 16], ["baseline", "threshold_individual", "threshold_universal"],
 )
 
+# colors x memory exceeds the 60-file catalog, so coloring blocks wrap
+# around, and each user makes two requests a round
+WRAP = (
+    dataclasses.replace(
+        SMALL, cell_radius=150.0, file_count=60, memory=20, requests_per_round=2, replications=3,
+    ),
+    "n_sbs", [9, 16], ["baseline", "threshold", "matern"],
+)
+CASES = {"custom": CUSTOM, "wrap": WRAP}
+
 
 def _recipe(name):
     axis, values, policies, presets = cli.RECIPES[name]
@@ -63,9 +73,11 @@ def _recorded_sweep(monkeypatch, cfg, axis, values, policies, workers, after_cel
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("case", ["fig3", "fig4", "fig5", "custom"])
+@pytest.mark.parametrize("case", ["fig3", "fig4", "fig5", "custom", "wrap"])
 def test_sweep_cells_equal_independent_runs(monkeypatch, case, workers):
-    cfg, axis, values, policies = CUSTOM if case == "custom" else _recipe(case)
+    # a cell reads the stored pairs of every user-round; an independent run
+    # draws the pairs of its live user-rounds only
+    cfg, axis, values, policies = CASES[case] if case in CASES else _recipe(case)
     cells, calls = _recorded_sweep(monkeypatch, cfg, axis, values, policies, workers)
     # one run_scenario call per cell, in CSV order
     assert len(calls) == len(cells) == len(values) * len(policies)
@@ -75,6 +87,8 @@ def test_sweep_cells_equal_independent_runs(monkeypatch, case, workers):
         fresh = run_scenario(cfg_cell, workers=workers)
         assert cell.result.per_replication == fresh.per_replication
         assert cell.result.colors_used == fresh.colors_used
+    if case == "wrap":
+        assert max(max(c.result.colors_used) for c in cells) * cfg.memory > cfg.file_count
 
 
 def _other_value(cfg, name):

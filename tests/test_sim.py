@@ -31,7 +31,7 @@ from sbscache.sim import (
     sweep_to_csv,
 )
 
-from oracles import build_access_map, build_delivery_map
+from oracles import build_access_map, build_delivery_map, rank_lookup_reference
 
 SMALL = ScenarioConfig(
     n_sbs=12, n_users=200, n_rounds=3, replications=4, master_seed=99,
@@ -176,13 +176,15 @@ def test_one_coloring_degenerates_to_baseline_on_shared_seeds():
 @example(seed=0, q=3, n_sbs=0, n_users=20, interval=False, memory=5, policy="baseline")
 @example(seed=0, q=2, n_sbs=5, n_users=0, interval=True, memory=5, policy="matern_coloring")
 @example(seed=1, q=2, n_sbs=6, n_users=20, interval=False, memory=15, policy="threshold_coloring")
+@example(seed=9, q=2, n_sbs=4, n_users=3, interval=False, memory=1, policy="threshold_coloring")
 @settings(max_examples=40, deadline=None)
 def test_vectorized_hits_match_delivery_map_semantics(
     seed, q, n_sbs, n_users, interval, memory, policy
 ):
     # replay every round by hand through the set-based delivery map; with 20
     # files, color blocks wrap around once colors x memory exceeds 20 (the
-    # last example: 3 colors x 15)
+    # third example: 3 colors x 15). In the last example two colors cache
+    # ranks 1 and 2 and no request asks for either, so no user-round is live.
     ranges = {"sbs_range": None, "sbs_range_min": 40.0, "sbs_range_max": 120.0} if interval else {}
     cfg = dataclasses.replace(
         SMALL, cell_radius=100.0, n_sbs=n_sbs, n_users=n_users, requests_per_round=q,
@@ -209,7 +211,11 @@ def test_vectorized_hits_match_delivery_map_semantics(
 
 @pytest.mark.parametrize("n_rounds", [1, 3, 10])
 def test_measure_stage_makes_one_access_call_per_replication(monkeypatch, n_rounds):
-    """All rounds' users go through one ``access_pairs`` call.
+    """All rounds' live user-rounds go through one ``access_pairs`` call.
+
+    A user-round is live when one of its requests asks for a rank that some
+    station caches. A sweep stores one replication's pairs for every cell at
+    an axis value, so there the call covers every user-round.
 
     Keep the batching. A per-round loop over the same kernel was faster on
     one thread (61 -> 68 replications/s at 48 SBS), but under the fig3
@@ -225,9 +231,28 @@ def test_measure_stage_makes_one_access_call_per_replication(monkeypatch, n_roun
         return original(users, sbs, ranges)
 
     monkeypatch.setattr(sim, "access_pairs", counted)
-    cfg = dataclasses.replace(SMALL, n_rounds=n_rounds, replications=2)
+    cfg = dataclasses.replace(
+        SMALL, n_rounds=n_rounds, replications=2, requests_per_round=2, policy="threshold_coloring"
+    )
     run_scenario(cfg)
-    assert calls == [n_rounds * cfg.n_users] * 2
+    live = []
+    for i, rep_seed in enumerate(replication_seeds(cfg.master_seed, cfg.replications)):
+        catalog = Catalog(cfg.file_count, cfg.alpha)
+        sbs, ranges = build_network(cfg, rep_seed)
+        caches = build_policy_artifacts(cfg, sbs, ranges, rep_seed, catalog).placement.caches
+        cached = frozenset().union(*caches)
+        count = 0
+        for r in range(n_rounds):
+            rng = np.random.default_rng(spawned((cfg.master_seed, i), (3, r, 1)))
+            ranks = rank_lookup_reference(catalog, rng.random(cfg.n_users * cfg.requests_per_round))
+            count += sum(any(int(f) in cached for f in user) for user in ranks.reshape(cfg.n_users, -1))
+        live.append(count)
+    assert calls == live
+    assert 0 < min(live) and max(live) < n_rounds * cfg.n_users
+
+    calls.clear()
+    sweep(cfg, "alpha", [cfg.alpha], ["baseline", "threshold", "matern"])
+    assert calls == [n_rounds * cfg.n_users] * cfg.replications
 
 
 def test_measure_stage_builds_no_dense_user_station_array():
