@@ -1,6 +1,12 @@
 """Cache placement for small-cell networks via conflict-graph coloring."""
 
-from .classify import ClassWeights, ConvergenceError, classify_and_weigh
+from .classify import (
+    ClassWeights,
+    ConvergenceError,
+    classify_and_weigh,
+    matern_type_i,
+    matern_type_ii,
+)
 from .coloring import (
     CapacityError,
     Coloring,
@@ -9,14 +15,7 @@ from .coloring import (
     greedy_color_by_degree,
     greedy_color_by_weight,
 )
-from .geometry import (
-    PointSet,
-    matern_type_i,
-    matern_type_ii,
-    neighbour_list,
-    pairs_within,
-    sample_binomial_disk,
-)
+from .geometry import PointSet, pairs_within, sample_binomial_disk
 from .netgraph import (
     CoverageRanges,
     SimpleGraph,

@@ -5,8 +5,10 @@ over repeated type-I / type-II thinnings (hard-core distance 2 * r_class,
 fresh uniform marks each round) until every station's weight is positive:
 stations that keep surviving, or sit near survivors, end up heavier and are
 colored (hence cache-filled) first. One pair-kernel query at 2 * r_class
-per classification gives both the hard-core neighbour list (CSR) and, by
-the kernel's distance formula, the class pairs.
+per classification gives both the hard-core graph and, by the kernel's
+distance formula, the class pairs. The thinnings read the hard-core graph's
+neighbour lists: type I keeps the points without neighbours, type II the
+points whose mark is below their neighbours' minimum.
 """
 
 from __future__ import annotations
@@ -16,14 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    PointSet,
-    matern_type_i,
-    matern_type_ii,
-    neighbour_list,
-    pair_distances,
-    pairs_within,
-)
+from .geometry import PointSet, pair_distances, pairs_within
+from .netgraph import SimpleGraph
 
 SURVIVOR_COUNTINGS = ("double", "single")
 
@@ -58,8 +54,39 @@ class ClassWeights:
         i, j = self.classes = tuple(np.asarray(a, dtype=np.intp) for a in self.classes)
         if i.shape != j.shape or np.any((np.minimum(i, j) < 0) | (np.maximum(i, j) >= n)):
             raise ValueError("class pairs must index the n weighted stations")
-        if np.unique(i[i == j]).size != n:
+        if not np.all(np.bincount(i[i == j], minlength=n) > 0):
             raise ValueError("each class must contain its own station")
+
+
+def matern_type_i(near: SimpleGraph) -> np.ndarray:
+    """Type-I thinning: keep the points with no hard-core neighbour.
+
+    ``near`` is the graph of the points within the hard distance of each
+    other (the pairs of ``pairs_within`` at the hard distance, self-pairs
+    dropped), so a competitor at exactly the hard distance eliminates both
+    points. Returns sorted indices.
+    """
+    return np.flatnonzero(near.degrees() == 0)
+
+
+def matern_type_ii(near: SimpleGraph, marks: np.ndarray) -> np.ndarray:
+    """Type-II thinning: keep the points whose mark is strictly smallest locally.
+
+    Point i is eliminated iff some hard-core neighbour j of ``near`` (as in
+    ``matern_type_i``) has ``marks[j] < marks[i]``: i is kept iff its mark
+    is below the minimum over its neighbour list, and a point without
+    neighbours is kept. Marks must be pairwise distinct so the comparison is
+    never ambiguous. Returns sorted indices.
+    """
+    ordered = np.sort(marks)
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise ValueError("marks must be pairwise distinct")
+    indptr = near.indptr
+    keep = np.ones(marks.size, dtype=bool)
+    has = np.flatnonzero(indptr[1:] > indptr[:-1])
+    if has.size:
+        keep[has] = marks[has] < np.minimum.reduceat(marks[near.indices], indptr[has])
+    return np.flatnonzero(keep)
 
 
 def _fresh_marks(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -84,9 +111,9 @@ def classify_and_weigh(
     """Build classes by distance and accumulate weights until all are positive.
 
     One pair-kernel call gives the station pairs within 2 * r_class: the
-    hard-core pairs of both thinnings, as a CSR neighbour list. The classes
-    are the pairs among them within r_class, by the kernel's own distance
-    formula, so they are exactly the kernel's pairs at r_class. Every
+    edges of both thinnings' hard-core graph. The classes are the pairs
+    among them within r_class, by the kernel's own distance formula, so
+    they are exactly the kernel's pairs at r_class. Every
     survivor bumps the weight of every member of its class: a class's
     credit is the number of survivors among its members. The type-I
     survivors depend on geometry only, so their credit is counted once and
@@ -116,8 +143,8 @@ def classify_and_weigh(
     ci, cj = classes = hi[in_class], hj[in_class]
     if n == 0:
         return ClassWeights(classes, np.zeros(0, dtype=int), 0)
-    other = hi != hj
-    near = neighbour_list(n, hi[other], hj[other])
+    upper = hi < hj
+    near = SimpleGraph.from_pairs(n, hi[upper], hj[upper])
 
     rng = np.random.default_rng(seed)
     survives_i = np.zeros(n, dtype=bool)

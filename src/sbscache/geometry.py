@@ -1,12 +1,9 @@
-"""Point configurations in a disk cell, the pair kernel, and Matern thinnings.
+"""Point configurations in a disk cell and the pair kernel.
 
 ``pairs_within`` gives every pair of points within range of each other, as
 index arrays; station relations and user access both read it.
 ``pair_distances`` is its distance formula, for callers that refine the
-pairs of one query to a smaller range. The Matern thinnings read the
-hard-core pairs as a CSR neighbour list (``neighbour_list``): type I keeps
-the rows without neighbours, type II the points whose mark is below their
-row's minimum.
+pairs of one query to a smaller range.
 
 Everything here is a pure function of its inputs; randomness enters only
 through explicit seeds, so any sample is bit-reproducible.
@@ -141,48 +138,3 @@ def pairs_within(a: PointSet, b: PointSet, radius: np.ndarray) -> tuple[np.ndarr
         out_i.append(i[near])
         out_j.append(order[pos[near]])
     return np.concatenate(out_i), np.concatenate(out_j)
-
-
-def neighbour_list(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR ``(indptr, indices)`` of the ordered pairs (i, j) on n points, from one sort.
-
-    The neighbours of v are ``indices[indptr[v]:indptr[v + 1]]``, in no
-    particular order.
-    """
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(i, minlength=n), out=indptr[1:])
-    # the kernel's pairs come in runs of ascending i, which a stable sort merges fast
-    return indptr, j[np.argsort(i, kind="stable")]
-
-
-def matern_type_i(near: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Type-I thinning: keep the points with no hard-core neighbour.
-
-    ``near`` is the CSR neighbour list ``(indptr, indices)`` of the points
-    within the hard distance of each other, self-pairs dropped (the pairs of
-    ``pairs_within`` at the hard distance, through ``neighbour_list``), so a
-    competitor at exactly the hard distance eliminates both points. Returns
-    sorted indices.
-    """
-    indptr = near[0]
-    return np.flatnonzero(indptr[1:] == indptr[:-1])
-
-
-def matern_type_ii(near: tuple[np.ndarray, np.ndarray], marks: np.ndarray) -> np.ndarray:
-    """Type-II thinning: keep the points whose mark is strictly smallest locally.
-
-    Point i is eliminated iff some hard-core neighbour j of ``near`` (as in
-    ``matern_type_i``) has ``marks[j] < marks[i]``: i is kept iff its mark
-    is below the minimum over its neighbour row, and a point without
-    neighbours is kept. Marks must be pairwise distinct so the comparison is
-    never ambiguous. Returns sorted indices.
-    """
-    ordered = np.sort(marks)
-    if np.any(ordered[1:] == ordered[:-1]):
-        raise ValueError("marks must be pairwise distinct")
-    indptr, indices = near
-    keep = np.ones(marks.size, dtype=bool)
-    has = np.flatnonzero(indptr[1:] > indptr[:-1])
-    if has.size:
-        keep[has] = marks[has] < np.minimum.reduceat(marks[indices], indptr[has])
-    return np.flatnonzero(keep)

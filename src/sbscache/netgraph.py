@@ -2,7 +2,9 @@
 
 The conflict graph that the SBS-to-SBS distances give under a threshold,
 the proximity-class graph, and the user-to-SBS access pairs: every relation
-comes from the sparse pair kernel ``geometry.pairs_within``.
+comes from the sparse pair kernel ``geometry.pairs_within``. Every station
+relation is a ``SimpleGraph``, the Matern hard-core graph in ``classify``
+too.
 """
 
 from __future__ import annotations

@@ -7,11 +7,11 @@ wrap-around occurs. When q * M exceeds the catalog, the block wraps back to
 rank 1 so no cache is left underfilled.
 
 A placement is therefore fully described by its color vector, M and the
-catalog size; everything else is derived from them. The measure stage reads
-the per-color block table (``color_table``): row q - 1 marks color q's
-block, so station j holds rank r iff ``table[colors[j] - 1, r - 1]``, and a
-rank that no row marks is a miss wherever it is requested. The per-station
-matrix, cached sets and CSV are for inspection.
+catalog size, and has one derived view: the per-color block table
+(``color_table``). Row q - 1 marks color q's block, so station j holds rank
+r iff ``table[colors[j] - 1, r - 1]``, and a rank that no row marks is a
+miss wherever it is requested. The measure stage reads the table; the
+per-station matrix and the CSV are its rows, for inspection.
 """
 
 from __future__ import annotations
@@ -46,21 +46,6 @@ class Placement:
     def n_sbs(self) -> int:
         return self.colors.shape[0]
 
-    def columns(self) -> np.ndarray:
-        """(n_sbs, memory) 0-based catalog columns: ((q-1)*M + t) mod F."""
-        return _blocks(self.colors, self.memory, self.file_count)
-
-    @property
-    def caches(self) -> tuple[frozenset[int], ...]:
-        """Per-SBS set of cached 1-based ranks."""
-        return tuple(frozenset((row + 1).tolist()) for row in self.columns())
-
-
-def _blocks(colors: np.ndarray, memory: int, file_count: int) -> np.ndarray:
-    """(len(colors), memory) 0-based catalog columns of each color's block."""
-    start = (colors[:, None] - 1) * memory
-    return (start + np.arange(memory)) % file_count
-
 
 def place_by_coloring(c: Coloring, catalog: Catalog, memory: int) -> Placement:
     """SBS with color q caches ranks (q-1)*M+1 .. q*M, wrapped modulo the catalog."""
@@ -77,11 +62,15 @@ def place_most_popular(n_sbs: int, catalog: Catalog, memory: int) -> Placement:
 
 
 def color_table(placement: Placement) -> np.ndarray:
-    """Boolean (colors_used, file_count) table: entry (q - 1, f) iff color q caches rank f + 1."""
+    """Boolean (colors_used, file_count) table: entry (q - 1, f) iff color q caches rank f + 1.
+
+    Color q's block is the 0-based columns ((q - 1) * M + t) mod F, t < M.
+    """
     k = int(placement.colors.max(initial=0))
-    table = np.zeros((k, placement.file_count), dtype=bool)
-    colors = np.arange(1, k + 1)
-    table[colors[:, None] - 1, _blocks(colors, placement.memory, placement.file_count)] = True
+    m, f = placement.memory, placement.file_count
+    table = np.zeros((k, f), dtype=bool)
+    rows = np.arange(k)[:, None]
+    table[rows, (rows * m + np.arange(m)) % f] = True
     return table
 
 
@@ -93,7 +82,7 @@ def placement_matrix(placement: Placement) -> np.ndarray:
 def placement_to_csv(placement: Placement) -> str:
     buf = io.StringIO()
     buf.write("sbs_id,file_rank\n")
-    for j, cache in enumerate(placement.caches):
-        for rank in sorted(cache):
+    for j, row in enumerate(placement_matrix(placement)):
+        for rank in (np.flatnonzero(row) + 1).tolist():
             buf.write(f"{j},{rank}\n")
     return buf.getvalue()

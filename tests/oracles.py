@@ -399,7 +399,9 @@ def expected_hit_oracle(
             continue
         cfg_policy = dataclasses.replace(cfg, policy=policy)
         art = build_policy_artifacts(cfg_policy, sbs, ranges, rep_seed, catalog)
-        files, share = reachable_files(cover, art.placement.caches, cfg.file_count)
+        p = art.placement
+        caches = block_caches_reference(p.colors, p.memory, p.file_count)
+        files, share = reachable_files(cover, caches, cfg.file_count)
         for a, pmf in pmfs.items():
             hits[(policy, a)] = float(share @ (files @ pmf))
     return hits, ceilings

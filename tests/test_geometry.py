@@ -8,14 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sbscache.geometry import (
-    PointSet,
-    matern_type_i,
-    matern_type_ii,
-    neighbour_list,
-    pairs_within,
-    sample_binomial_disk,
-)
+from sbscache.classify import matern_type_i, matern_type_ii
+from sbscache.geometry import PointSet, pairs_within, sample_binomial_disk
+from sbscache.netgraph import SimpleGraph
 
 from oracles import distance_matrix, hard_core_matrix, matern_reference, min_pairwise_distance
 
@@ -25,9 +20,9 @@ def ptset(coords, radius=1000.0):
 
 
 def near(pts, hard):
-    """The hard-core neighbour list of ``pts``: every (i, j), i != j, with d <= hard, as CSR."""
+    """The hard-core graph of ``pts``: an edge (i, j), i != j, wherever d <= hard."""
     i, j = pairs_within(pts, pts, np.full(len(pts), hard))
-    return neighbour_list(len(pts), i[i != j], j[i != j])
+    return SimpleGraph.from_pairs(len(pts), i[i < j], j[i < j])
 
 
 def thin_i(pts, hard):

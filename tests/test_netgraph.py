@@ -287,9 +287,7 @@ def test_placement_matrix_matches_sets():
     placement = Placement(np.array([2, 3]), 4, 10)
     mat = placement_matrix(placement)
     assert mat.shape == (2, 10)
-    for j, cache in enumerate(placement.caches):
-        assert (np.flatnonzero(mat[j]) + 1).tolist() == sorted(cache)
-    assert placement.caches == (frozenset({5, 6, 7, 8}), frozenset({9, 10, 1, 2}))
+    assert [(np.flatnonzero(row) + 1).tolist() for row in mat] == [[5, 6, 7, 8], [1, 2, 9, 10]]
 
 
 def test_simple_graph_rejects_loops_repeats_and_strangers():
@@ -332,5 +330,6 @@ def test_placement_csv_round_trip():
     for line in lines[1:]:
         j, rank = map(int, line.split(","))
         back[j].add(rank)
-    assert tuple(map(frozenset, back)) == placement.caches
-    assert placement.caches == (frozenset({1, 2, 3}), frozenset({7, 8, 1}), frozenset({4, 5, 6}))
+    assert tuple(map(frozenset, back)) == (
+        frozenset({1, 2, 3}), frozenset({7, 8, 1}), frozenset({4, 5, 6})
+    )

@@ -18,6 +18,12 @@ from sbscache.popularity import Catalog
 from oracles import block_caches_reference
 
 
+def cached_ranks(placement):
+    """Each station's cached ranks, read from its row of ``placement_matrix``."""
+    rows = placement_matrix(placement)
+    return tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in rows)
+
+
 def coloring(colors):
     colors = np.asarray(colors, dtype=int)
     return Coloring(colors, int(colors.max()) if colors.size else 0)
@@ -27,15 +33,15 @@ def test_single_color_class_degenerates_to_baseline():
     cat = Catalog(1000, 0.6)
     by_color = place_by_coloring(coloring([1, 1, 1]), cat, 50)
     baseline = place_most_popular(3, cat, 50)
-    assert by_color.caches == baseline.caches
-    assert by_color.caches[0] == frozenset(range(1, 51))
+    assert cached_ranks(by_color) == cached_ranks(baseline)
+    assert cached_ranks(by_color)[0] == frozenset(range(1, 51))
 
 
 def test_blocks_are_consecutive_and_disjoint():
     cat = Catalog(1000, 0.6)
     pmap = place_by_coloring(coloring([1, 2]), cat, 2)
-    assert pmap.caches[0] == frozenset({1, 2})
-    assert pmap.caches[1] == frozenset({3, 4})
+    assert cached_ranks(pmap)[0] == frozenset({1, 2})
+    assert cached_ranks(pmap)[1] == frozenset({3, 4})
 
 
 def test_block_wraps_to_head_of_catalog():
@@ -43,30 +49,30 @@ def test_block_wraps_to_head_of_catalog():
     cat = Catalog(1000, 0.6)
     colors = np.arange(1, 22)
     pmap = place_by_coloring(Coloring(colors, 21), cat, 50)
-    assert pmap.caches[20] == frozenset(range(1, 51))
-    assert pmap.caches[19] == frozenset(range(951, 1001))
+    assert cached_ranks(pmap)[20] == frozenset(range(1, 51))
+    assert cached_ranks(pmap)[19] == frozenset(range(951, 1001))
 
 
 def test_small_catalog_collapses_duplicates():
     cat = Catalog(3, 0.0)
     pmap = place_by_coloring(coloring([1]), cat, 5)
-    assert pmap.caches[0] == frozenset({1, 2, 3})
+    assert cached_ranks(pmap)[0] == frozenset({1, 2, 3})
 
 
 def test_most_popular_fills_head():
     cat = Catalog(1000, 0.6)
     pmap = place_most_popular(4, cat, 50)
-    assert all(c == frozenset(range(1, 51)) for c in pmap.caches)
+    assert all(c == frozenset(range(1, 51)) for c in cached_ranks(pmap))
 
 
 def test_most_popular_full_catalog():
     cat = Catalog(10, 0.6)
     pmap = place_most_popular(2, cat, 10)
-    assert all(c == frozenset(range(1, 11)) for c in pmap.caches)
+    assert all(c == frozenset(range(1, 11)) for c in cached_ranks(pmap))
 
 
 def test_most_popular_empty_network():
-    assert place_most_popular(0, Catalog(10, 0.6), 5).caches == ()
+    assert cached_ranks(place_most_popular(0, Catalog(10, 0.6), 5)) == ()
 
 
 def test_most_popular_rejects_memory_above_catalog():
@@ -105,14 +111,14 @@ def test_cache_size_and_popularity_monotonicity(k, n, file_count, memory):
     colors = np.array([(i % k) + 1 for i in range(n + k)])  # every color used
     cat = Catalog(file_count, 0.6)
     pmap = place_by_coloring(Coloring(colors, k), cat, memory)
-    for cache in pmap.caches:
+    for cache in cached_ranks(pmap):
         assert len(cache) <= memory
     # while q * M fits the catalog, block q is exactly the q-th slice, so its
     # minimum rank strictly increases with q and sibling blocks are disjoint
     mins = []
     for q in range(1, k + 1):
         if q * memory <= file_count:
-            cache = pmap.caches[list(colors).index(q)]
+            cache = cached_ranks(pmap)[list(colors).index(q)]
             assert len(cache) == memory
             mins.append(min(cache))
     assert all(a < b for a, b in zip(mins, mins[1:]))
@@ -127,8 +133,8 @@ def test_unwrapped_distinct_colors_cache_disjoint_sets(q1, q2, memory):
     cat = Catalog(file_count, 0.6)
     colors = np.array(sorted({q1, q2, 1} | set(range(1, max(q1, q2) + 1))))
     pmap = place_by_coloring(Coloring(colors, int(colors.max())), cat, memory)
-    c1 = pmap.caches[list(colors).index(q1)]
-    c2 = pmap.caches[list(colors).index(q2)]
+    c1 = cached_ranks(pmap)[list(colors).index(q1)]
+    c2 = cached_ranks(pmap)[list(colors).index(q2)]
     assert not (c1 & c2)
 
 
@@ -142,8 +148,9 @@ def test_placement_matches_loop_reference(colors, memory, file_count):
     # wrap-around (q * M > F) and memory above the catalog size included
     placement = Placement(np.array(colors, dtype=int), memory, file_count)
     expected = block_caches_reference(colors, memory, file_count)
-    assert placement.caches == expected
     mat = placement_matrix(placement)
     assert mat.shape == (len(colors), file_count)
     for j, cache in enumerate(expected):
         assert (np.flatnonzero(mat[j]) + 1).tolist() == sorted(cache)
+    rows = [tuple(map(int, ln.split(","))) for ln in placement_to_csv(placement).splitlines()[1:]]
+    assert rows == [(j, rank) for j, cache in enumerate(expected) for rank in sorted(cache)]

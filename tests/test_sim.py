@@ -31,7 +31,12 @@ from sbscache.sim import (
     sweep_to_csv,
 )
 
-from oracles import build_access_map, build_delivery_map, rank_lookup_reference
+from oracles import (
+    block_caches_reference,
+    build_access_map,
+    build_delivery_map,
+    rank_lookup_reference,
+)
 
 SMALL = ScenarioConfig(
     n_sbs=12, n_users=200, n_rounds=3, replications=4, master_seed=99,
@@ -196,13 +201,14 @@ def test_vectorized_hits_match_delivery_map_semantics(
     catalog = Catalog(cfg.file_count, cfg.alpha)
     placement = build_policy_artifacts(cfg, sbs, sbs_ranges, rep_seed, catalog).placement
     measured = measure_hit_rate(cfg, sbs, sbs_ranges, placement, rep_seed, catalog)
+    caches = block_caches_reference(placement.colors, placement.memory, placement.file_count)
 
     hits = total = 0
     for r in range(cfg.n_rounds):
         users = sample_binomial_disk(n_users, cfg.cell_radius, spawned((seed, 0), (3, r, 0)))
         rng = np.random.default_rng(spawned((seed, 0), (3, r, 1)))
         ranks = sample_requests(catalog, n_users * q, rng)
-        delivery = build_delivery_map(placement.caches, build_access_map(users, sbs, sbs_ranges))
+        delivery = build_delivery_map(caches, build_access_map(users, sbs, sbs_ranges))
         # request i belongs to user i // q
         hits += sum(int(rank) in delivery.sets[i // q] for i, rank in enumerate(ranks))
         total += len(ranks)
@@ -239,8 +245,8 @@ def test_measure_stage_makes_one_access_call_per_replication(monkeypatch, n_roun
     for i, rep_seed in enumerate(replication_seeds(cfg.master_seed, cfg.replications)):
         catalog = Catalog(cfg.file_count, cfg.alpha)
         sbs, ranges = build_network(cfg, rep_seed)
-        caches = build_policy_artifacts(cfg, sbs, ranges, rep_seed, catalog).placement.caches
-        cached = frozenset().union(*caches)
+        p = build_policy_artifacts(cfg, sbs, ranges, rep_seed, catalog).placement
+        cached = frozenset().union(*block_caches_reference(p.colors, p.memory, p.file_count))
         count = 0
         for r in range(n_rounds):
             rng = np.random.default_rng(spawned((cfg.master_seed, i), (3, r, 1)))
