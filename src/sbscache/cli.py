@@ -1,8 +1,9 @@
 """Command-line surface: run a scenario, sweep an axis, inspect intermediates.
 
 Configs are flat ``key = value`` text files with ``#`` comments; any key can
-be overridden on the command line with ``--key value``. All output is CSV
-with LF line endings, reproducible byte-for-byte from the master seed.
+be overridden on the command line with ``--key value``, except a key that the
+chosen sweep recipe presets. All output is CSV with LF line endings,
+reproducible byte-for-byte from the master seed.
 """
 
 from __future__ import annotations
@@ -135,19 +136,20 @@ def cmd_run(ns: argparse.Namespace) -> int:
     _check_workers(ns)
     cfg = parse_config_file(ns.config, _collect_overrides(ns))
     result = sim.run_scenario(cfg, workers=ns.workers)
-    row = sim.result_row(cfg.policy, result, cfg.replications, cfg.master_seed)
+    row = sim.result_row(cfg.policy, result, cfg.master_seed)
     sys.stdout.write(sim.RESULT_CSV_HEADER + "\n" + row + "\n")
     return 0
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
     _check_workers(ns)
-    cfg = parse_config_file(ns.config, _collect_overrides(ns))
+    overrides = _collect_overrides(ns)
     if ns.recipe:
         if ns.axis or ns.values or ns.policies:
             raise ConfigError("--recipe and explicit --axis/--values/--policies are mutually exclusive")
         axis, values, policies, presets = RECIPES[ns.recipe]
-        cfg = dataclasses.replace(cfg, **presets)
+        if clash := ", ".join(key for key in presets if key in overrides):
+            raise ConfigError(f"recipe {ns.recipe} presets {clash}, which cannot also be given as flags")
     else:
         if not (ns.axis and ns.values and ns.policies):
             raise ConfigError("either --recipe or all of --axis/--values/--policies are required")
@@ -158,6 +160,8 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         except ValueError:
             raise ConfigError(f"invalid --values list {ns.values!r}") from None
         policies = [p.strip() for p in ns.policies.split(",") if p.strip()]
+        presets = {}
+    cfg = dataclasses.replace(parse_config_file(ns.config, overrides), **presets)
     try:
         cells = sim.sweep(cfg, axis, values, policies, workers=ns.workers)
     except ValueError as exc:

@@ -25,22 +25,20 @@ class CapacityError(RuntimeError):
 
 @dataclass
 class Coloring:
-    """Per-vertex color in 1..k, every color used at least once."""
+    """Per-vertex color in 1..k, every color used at least once; k is the largest color."""
 
     colors: np.ndarray
-    k: int
 
     def __post_init__(self):
         self.colors = np.asarray(self.colors, dtype=int).reshape(-1)
-        n = self.colors.shape[0]
-        if n == 0:
-            if self.k != 0:
-                raise ValueError("empty coloring must use zero colors")
-            return
-        if self.colors.min() < 1 or self.colors.max() != self.k:
+        if self.colors.size and self.colors.min() < 1:
             raise ValueError("colors must be dense in 1..k")
         if np.unique(self.colors).size != self.k:
             raise ValueError("every color in 1..k must be used")
+
+    @property
+    def k(self) -> int:
+        return int(self.colors.max(initial=0))
 
     def __len__(self) -> int:
         return self.colors.shape[0]
@@ -71,7 +69,7 @@ def _greedy_in_order(g: SimpleGraph, order) -> Coloring:
         while c in banned:
             c += 1
         colors[v] = c
-    return Coloring(np.array(colors, dtype=int), max(colors, default=0))
+    return Coloring(np.array(colors, dtype=int))
 
 
 def greedy_color_by_degree(g: SimpleGraph) -> Coloring:
@@ -177,7 +175,7 @@ def exact_min_coloring(g: SimpleGraph, limit: int = EXACT_SOLVER_LIMIT) -> Color
                 for pos, v in enumerate(order):
                     colors[v] = assignment[pos]
                 break
-    return Coloring(colors, int(colors.max(initial=0)))
+    return Coloring(colors)
 
 
 def coloring_to_csv(c: Coloring) -> str:

@@ -42,10 +42,6 @@ class Placement:
         if self.colors.size and self.colors.min() < 1:
             raise ValueError("colors start at 1")
 
-    @property
-    def n_sbs(self) -> int:
-        return self.colors.shape[0]
-
 
 def place_by_coloring(c: Coloring, catalog: Catalog, memory: int) -> Placement:
     """SBS with color q caches ranks (q-1)*M+1 .. q*M, wrapped modulo the catalog."""

@@ -16,18 +16,18 @@ GUIDE_BINS_PER_FILE = 4
 class Catalog:
     """Ranked file catalog; rank 1 is the most popular file.
 
-    The probability of rank f is f^(-alpha) / sum_i i^(-alpha). The pmf and
-    its cumulative table are precomputed once. Sampling inverts the
-    cumulative table through a guide table (Chen & Asau, 1974), which is
-    built on the first draw, so a catalog that is never sampled never pays
-    for it.
+    The probability of rank f is f^(-alpha) / sum_i i^(-alpha). The pmf, its
+    cumulative table and the guide table through which sampling inverts it
+    (Chen & Asau, 1974) are built with the catalog and never written
+    afterwards, so one catalog serves every replication of a scenario, on
+    any number of threads.
     """
 
     file_count: int
     alpha: float
     _pmf: np.ndarray = field(init=False, repr=False, compare=False)
     _cdf: np.ndarray = field(init=False, repr=False, compare=False)
-    _guide: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _guide: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.file_count < 1:
@@ -38,6 +38,16 @@ class Catalog:
         weights = ranks ** (-float(self.alpha))
         self._pmf = weights / weights.sum()
         self._cdf = np.cumsum(self._pmf)
+        # (T, guide, cdf): guide[b] counts the cdf entries in bins 0..b-2 of T.
+        # A uniform u in bin b = floor(u * T) lies above every entry of bins
+        # below b - 1, whatever the rounding of u * T, so guide[b] never
+        # exceeds the number of entries <= u. cdf ends in +inf, which stops a
+        # forward step.
+        t = GUIDE_BINS_PER_FILE * self.file_count
+        bins = np.minimum((self._cdf * t).astype(np.intp), t)
+        guide = np.zeros(t + 1, dtype=np.intp)
+        np.cumsum(np.bincount(bins, minlength=t + 1)[: t - 1], out=guide[2:])
+        self._guide = t, guide, np.append(self._cdf, np.inf)
 
 
 def zipf_pmf(catalog: Catalog, rank: int) -> float:
@@ -52,23 +62,6 @@ def top_mass(catalog: Catalog, k: int) -> float:
     if not 0 <= k <= catalog.file_count:
         raise ValueError(f"k must be in 0..{catalog.file_count}, got {k}")
     return float(catalog._pmf[:k].sum())
-
-
-def _guide_table(catalog: Catalog) -> tuple[int, np.ndarray, np.ndarray]:
-    """``(T, guide, cdf)``: ``guide[b]`` counts the cdf entries in bins 0..b-2 of T.
-
-    A uniform u in bin b = floor(u * T) lies above every entry of bins below
-    b - 1, whatever the rounding of u * T, so ``guide[b]`` never exceeds the
-    number of entries <= u. ``cdf`` ends in +inf, which stops a forward step.
-    """
-    if catalog._guide is None:
-        t = GUIDE_BINS_PER_FILE * catalog.file_count
-        bins = np.minimum((catalog._cdf * t).astype(np.intp), t)
-        guide = np.zeros(t + 1, dtype=np.intp)
-        np.cumsum(np.bincount(bins, minlength=t + 1)[: t - 1], out=guide[2:])
-        # one tuple, so a concurrent first draw sees all of it or none
-        catalog._guide = t, guide, np.append(catalog._cdf, np.inf)
-    return catalog._guide
 
 
 def sample_requests(catalog: Catalog, size: int, rng) -> np.ndarray:
@@ -88,7 +81,7 @@ def lookup_ranks(catalog: Catalog, u: np.ndarray) -> np.ndarray:
     A loop of forward steps instead lost to binary search at alpha 2, where
     the tail bins hold hundreds of entries.
     """
-    t, guide, cdf = _guide_table(catalog)
+    t, guide, cdf = catalog._guide
     idx = guide[(u * t).astype(np.intp)]
     pending = np.flatnonzero(cdf[idx] <= u)
     idx[pending] += 1

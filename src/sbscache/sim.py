@@ -459,9 +459,8 @@ def measure_hit_rate(
     return int(hit.sum()) / ranks.size
 
 
-def run_replication(cfg: ScenarioConfig, rep_seed) -> tuple[float, int]:
-    """One full replication; returns (hit_rate, colors_used)."""
-    catalog = Catalog(cfg.file_count, cfg.alpha)
+def run_replication(cfg: ScenarioConfig, rep_seed, catalog: Catalog) -> tuple[float, int]:
+    """One full replication on the scenario's catalog; returns (hit_rate, colors_used)."""
     sbs, ranges = build_network(cfg, rep_seed)
     art = build_policy_artifacts(cfg, sbs, ranges, rep_seed, catalog)
     hit_rate = measure_hit_rate(cfg, sbs, ranges, art.placement, rep_seed, catalog)
@@ -473,16 +472,18 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> SimResult:
 
     Replication i always uses the i-th seed derived from ``master_seed`` and
     aggregation follows replication order, so the result does not depend on
-    how the replications were scheduled.
+    how the replications were scheduled. They share the scenario's one
+    catalog, which no replication writes.
     """
     _check_workers(workers)
     cfg.validate()
     seeds = replication_seeds(cfg.master_seed, cfg.replications)
+    catalog = Catalog(cfg.file_count, cfg.alpha)
 
     def one(indexed) -> tuple[float, int]:
         i, seed = indexed
         try:
-            return run_replication(cfg, seed)
+            return run_replication(cfg, seed, catalog)
         except Exception as exc:
             raise ReplicationError(
                 i, f"replication {i} (master_seed={cfg.master_seed}) failed: {exc}"
@@ -505,7 +506,6 @@ class SweepCell:
     axis_value: float | int
     policy: str
     result: SimResult
-    replications: int
     master_seed: int
 
 
@@ -556,8 +556,7 @@ def sweep(
         _sweep_store = store
     try:
         return [
-            SweepCell(axis, value, label, run_scenario(cfg_cell, workers=workers),
-                      cfg.replications, cfg.master_seed)
+            SweepCell(axis, value, label, run_scenario(cfg_cell, workers=workers), cfg.master_seed)
             for value, label, cfg_cell in runs
         ]
     finally:
@@ -574,16 +573,17 @@ def format_number(value) -> str:
     return str(float(value))
 
 
-def result_row(policy: str, result: SimResult, replications: int, master_seed: int) -> str:
+def result_row(policy: str, result: SimResult, master_seed: int) -> str:
     """One scenario's result as a CSV row under RESULT_CSV_HEADER."""
     stats = (result.mean_hit_rate, result.std_hit_rate, result.mbs_load, result.mean_colors_used)
+    replications = len(result.per_replication)
     return ",".join((policy, *map(format_number, stats), str(replications), str(master_seed)))
 
 
 def sweep_to_csv(cells) -> str:
     lines = [SWEEP_CSV_HEADER]
     for c in cells:
-        row = result_row(c.policy, c.result, c.replications, c.master_seed)
+        row = result_row(c.policy, c.result, c.master_seed)
         lines.append(f"{c.axis_name},{format_number(c.axis_value)},{row}")
     return "\n".join(lines) + "\n"
 

@@ -227,6 +227,25 @@ def test_sweep_recipe_conflicts_with_axis(config_path, capsys):
     assert "mutually exclusive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("recipe, key, raw", [
+    ("fig3", "alpha", "1.2"),
+    ("fig4", "n_sbs", "10"),
+    ("fig5", "sbs_range_min", "40"),
+])
+def test_sweep_rejects_a_flag_the_recipe_presets(
+    config_path, tmp_path, capsys, monkeypatch, recipe, key, raw
+):
+    # the recipe's presets used to overwrite the flag without a word
+    ran = []
+    monkeypatch.setattr(sim, "run_scenario", lambda cfg, workers=1: ran.append(cfg))
+    out = tmp_path / "table.csv"
+    code = main(["sweep", config_path, "--recipe", recipe, f"--{key}", raw, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err and recipe in err
+    assert ran == [] and not out.exists()
+
+
 def test_sweep_requires_axis_or_recipe(config_path, capsys):
     assert main(["sweep", config_path]) == 2
 

@@ -46,22 +46,22 @@ def edgeless(n):
 
 def test_is_proper_edgeless_single_color():
     g = edgeless(3)
-    assert is_proper(g, Coloring(np.ones(3, dtype=int), 1))
+    assert is_proper(g, Coloring(np.ones(3, dtype=int)))
 
 
 def test_is_proper_detects_conflict():
     g = graph_from_edges(2, [(0, 1)])
-    assert not is_proper(g, Coloring(np.array([1, 1]), 1))
+    assert not is_proper(g, Coloring(np.array([1, 1])))
 
 
 def test_is_proper_triangle():
     g = complete_graph(3)
-    assert is_proper(g, Coloring(np.array([1, 2, 3]), 3))
+    assert is_proper(g, Coloring(np.array([1, 2, 3])))
 
 
 def test_is_proper_rejects_size_mismatch():
     with pytest.raises(ValueError):
-        is_proper(complete_graph(3), Coloring(np.array([1, 2]), 2))
+        is_proper(complete_graph(3), Coloring(np.array([1, 2])))
 
 
 def test_greedy_degree_complete_graph():
@@ -204,11 +204,11 @@ def test_exact_bipartite_with_edges_uses_two(a, b):
 
 def test_coloring_requires_dense_colors():
     with pytest.raises(ValueError):
-        Coloring(np.array([1, 3]), 3)  # color 2 unused
+        Coloring(np.array([1, 3]))  # color 2 unused
     with pytest.raises(ValueError):
-        Coloring(np.array([0, 1]), 1)  # colors start at 1
+        Coloring(np.array([0, 1]))  # colors start at 1
 
 
 def test_coloring_csv():
-    text = coloring_to_csv(Coloring(np.array([1, 2, 1]), 2))
+    text = coloring_to_csv(Coloring(np.array([1, 2, 1])))
     assert text == "vertex_id,color\n0,1\n1,2\n2,1\n"

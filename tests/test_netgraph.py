@@ -326,7 +326,7 @@ def test_placement_csv_round_trip():
     placement = Placement(np.array([1, 3, 2]), 3, 8)
     lines = placement_to_csv(placement).splitlines()
     assert lines[0] == "sbs_id,file_rank"
-    back = [set() for _ in range(placement.n_sbs)]
+    back = [set() for _ in range(len(placement.colors))]
     for line in lines[1:]:
         j, rank = map(int, line.split(","))
         back[j].add(rank)

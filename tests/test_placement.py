@@ -24,14 +24,9 @@ def cached_ranks(placement):
     return tuple(frozenset((np.flatnonzero(row) + 1).tolist()) for row in rows)
 
 
-def coloring(colors):
-    colors = np.asarray(colors, dtype=int)
-    return Coloring(colors, int(colors.max()) if colors.size else 0)
-
-
 def test_single_color_class_degenerates_to_baseline():
     cat = Catalog(1000, 0.6)
-    by_color = place_by_coloring(coloring([1, 1, 1]), cat, 50)
+    by_color = place_by_coloring(Coloring([1, 1, 1]), cat, 50)
     baseline = place_most_popular(3, cat, 50)
     assert cached_ranks(by_color) == cached_ranks(baseline)
     assert cached_ranks(by_color)[0] == frozenset(range(1, 51))
@@ -39,7 +34,7 @@ def test_single_color_class_degenerates_to_baseline():
 
 def test_blocks_are_consecutive_and_disjoint():
     cat = Catalog(1000, 0.6)
-    pmap = place_by_coloring(coloring([1, 2]), cat, 2)
+    pmap = place_by_coloring(Coloring([1, 2]), cat, 2)
     assert cached_ranks(pmap)[0] == frozenset({1, 2})
     assert cached_ranks(pmap)[1] == frozenset({3, 4})
 
@@ -48,14 +43,14 @@ def test_block_wraps_to_head_of_catalog():
     # color 21 with M=50 starts at rank 1001, wrapping back to 1..50
     cat = Catalog(1000, 0.6)
     colors = np.arange(1, 22)
-    pmap = place_by_coloring(Coloring(colors, 21), cat, 50)
+    pmap = place_by_coloring(Coloring(colors), cat, 50)
     assert cached_ranks(pmap)[20] == frozenset(range(1, 51))
     assert cached_ranks(pmap)[19] == frozenset(range(951, 1001))
 
 
 def test_small_catalog_collapses_duplicates():
     cat = Catalog(3, 0.0)
-    pmap = place_by_coloring(coloring([1]), cat, 5)
+    pmap = place_by_coloring(Coloring([1]), cat, 5)
     assert cached_ranks(pmap)[0] == frozenset({1, 2, 3})
 
 
@@ -82,7 +77,7 @@ def test_most_popular_rejects_memory_above_catalog():
 
 def test_place_by_coloring_requires_memory():
     with pytest.raises(ValueError):
-        place_by_coloring(coloring([1]), Catalog(10, 0.6), 0)
+        place_by_coloring(Coloring([1]), Catalog(10, 0.6), 0)
 
 
 def test_placement_matrix_empty_network():
@@ -110,7 +105,7 @@ def test_cache_size_and_popularity_monotonicity(k, n, file_count, memory):
     memory = min(memory, file_count)
     colors = np.array([(i % k) + 1 for i in range(n + k)])  # every color used
     cat = Catalog(file_count, 0.6)
-    pmap = place_by_coloring(Coloring(colors, k), cat, memory)
+    pmap = place_by_coloring(Coloring(colors), cat, memory)
     for cache in cached_ranks(pmap):
         assert len(cache) <= memory
     # while q * M fits the catalog, block q is exactly the q-th slice, so its
@@ -132,7 +127,7 @@ def test_unwrapped_distinct_colors_cache_disjoint_sets(q1, q2, memory):
         return
     cat = Catalog(file_count, 0.6)
     colors = np.array(sorted({q1, q2, 1} | set(range(1, max(q1, q2) + 1))))
-    pmap = place_by_coloring(Coloring(colors, int(colors.max())), cat, memory)
+    pmap = place_by_coloring(Coloring(colors), cat, memory)
     c1 = cached_ranks(pmap)[list(colors).index(q1)]
     c2 = cached_ranks(pmap)[list(colors).index(q2)]
     assert not (c1 & c2)

@@ -1,5 +1,7 @@
 """Zipf pmf, sampling, and head-mass behavior."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -124,6 +126,21 @@ def _edge_uniforms(cat: Catalog) -> np.ndarray:
     u = np.concatenate((points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
                         [0.0, np.nextafter(1.0, 0.0)]))
     return u[(u >= 0.0) & (u < 1.0)]
+
+
+def test_catalog_is_complete_when_built_and_lookups_never_write_it():
+    cat = Catalog(1000, 0.6)
+    t, guide, cdf = cat._guide
+    assert t == GUIDE_BINS_PER_FILE * cat.file_count and guide.shape == (t + 1,)
+    assert cdf[:-1].tolist() == cat._cdf.tolist() and cdf[-1] == np.inf
+    fields = dict(vars(cat))
+    frozen = pickle.dumps(fields)
+    rng = np.random.default_rng(4)
+    lookup_ranks(cat, rng.random(10_000))
+    sample_requests(cat, 10_000, rng)
+    assert vars(cat).keys() == fields.keys()
+    assert all(vars(cat)[name] is value for name, value in fields.items())
+    assert pickle.dumps(vars(cat)) == frozen
 
 
 @given(

@@ -128,6 +128,21 @@ def test_parallel_replications_match_serial():
     assert a == b
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scenario_builds_one_catalog_for_all_replications(monkeypatch, workers):
+    built = []
+
+    def counting_catalog(*args):
+        built.append(args)
+        return Catalog(*args)
+
+    monkeypatch.setattr(sim, "Catalog", counting_catalog)
+    for policy in POLICIES:
+        built.clear()
+        run_scenario(dataclasses.replace(SMALL, policy=policy), workers=workers)
+        assert built == [(SMALL.file_count, SMALL.alpha)]
+
+
 def test_policies_share_network_and_requests_per_seed():
     base_cfg = dataclasses.replace(SMALL, policy="baseline")
     thr_cfg = dataclasses.replace(SMALL, policy="threshold_coloring")
@@ -293,7 +308,8 @@ def test_city_replication_builds_no_station_matrix(policy):
     )
     tracemalloc.start()
     try:
-        sim.run_replication(cfg, replication_seeds(cfg.master_seed, 1)[0])
+        catalog = Catalog(cfg.file_count, cfg.alpha)
+        sim.run_replication(cfg, replication_seeds(cfg.master_seed, 1)[0], catalog)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
