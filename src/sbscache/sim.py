@@ -18,13 +18,14 @@ alone: those with at least one such request. The ranks come from the
 catalog's guide table, and each (user-round, station) pair is scored through
 the placement's per-color block table.
 
-A sweep draws those shared stages once per replication seed: the first cell
-at an axis value builds each replication's network, users, requests and
-access pairs and keeps them in a ``SharedStages`` store, and every later
-cell that differs only in placement-only fields (``PLACEMENT_ONLY_FIELDS``)
-reads them back instead of drawing them again. The later cells' placements
-are not known when the first cell draws, so a stored draw takes the access
-pairs of every user-round.
+A sweep draws those shared stages once per replication: the first cell at
+an axis value draws each replication's network, users, requests and access
+pairs into a plain dict, replication index to stages, and every later cell
+at that value reads them back. The dict belongs to the thread that runs the
+sweep, and ``run_scenario`` passes each replication its own entry as an
+argument, so worker threads read no hidden state. The later cells'
+placements are not known when the first cell draws, so a stored draw takes
+the access pairs of every user-round.
 """
 
 from __future__ import annotations
@@ -226,21 +227,6 @@ def _check_type(name: str, value) -> None:
         raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-# The fields only the placement stage reads. Every other field is an input
-# of the shared stages (network, users, requests, access pairs), so a field
-# added later joins the shared-stage key by default.
-PLACEMENT_ONLY_FIELDS = (
-    "policy", "threshold_mode", "coloring_mode", "r_class", "memory",
-    "max_matern_iterations", "survivor_counting",
-)
-_SHARED_FIELDS = tuple(name for name in CONFIG_FIELDS if name not in PLACEMENT_ONLY_FIELDS)
-
-
-def shared_stage_key(cfg: ScenarioConfig) -> tuple:
-    """Every config value the shared stages of a replication depend on."""
-    return tuple(getattr(cfg, name) for name in _SHARED_FIELDS)
-
-
 def _narrow(a: np.ndarray) -> np.ndarray:
     """A read-only copy of a non-negative integer array in its smallest unsigned dtype."""
     out = a.astype(np.min_scalar_type(a.max(initial=0)))
@@ -248,51 +234,24 @@ def _narrow(a: np.ndarray) -> np.ndarray:
     return out
 
 
-class SharedStages:
-    """The shared stages of one sweep's replications, for one key at a time.
-
-    Entries are keyed by the full shared-stage key and the replication seed
-    (its entropy, the master seed, and its spawn key, the index), so a lookup
-    can only return what the caller would have computed itself. Storing
-    under a new key drops every entry; an entry holds the replication's
-    ``"network"`` and, once measured, its ``"rounds"``.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._key: tuple | None = None
-        self._entries: dict[tuple, dict[str, object]] = {}
-
-    def fetch(self, key: tuple, rep_seed, stage: str, draw):
-        """The entry's ``stage``, or ``draw()`` stored as the entry's ``stage``."""
-        entry_id = key, (rep_seed.entropy, rep_seed.spawn_key)
-        value = self._entries.get(entry_id, {}).get(stage)
-        if value is None:
-            value = draw()
-            with self._lock:
-                if key != self._key:
-                    self._key, self._entries = key, {}
-                self._entries.setdefault(entry_id, {})[stage] = value
-        return value
+# The cell that a sweep on this thread is running (``cell``) and its axis
+# value's ``store``: replication index -> that replication's stages. It is
+# thread state rather than an argument because perfbench times each sweep
+# cell by replacing ``run_scenario`` with a wrapper that takes only
+# ``(cfg, workers)``.
+_sweeping = threading.local()
 
 
-# The open sweep's store, or None. It is a module-level slot rather than an
-# argument because perfbench times each sweep cell by replacing
-# ``run_scenario`` with a wrapper that takes only ``(cfg, workers)``. The
-# slot goes once perfbench times groups of cells, in its next change.
-_sweep_store: SharedStages | None = None
-_sweep_store_lock = threading.Lock()
-
-
-def _shared(cfg: ScenarioConfig, rep_seed, stage: str, draw, keep):
-    """``draw(False)``; in a sweep, ``keep(draw(True))`` drawn once per replication seed and stored.
+def _shared(stored, stage: str, draw, keep):
+    """``draw(False)``, or ``keep(draw(True))`` drawn once into a replication's ``stored`` entry.
 
     ``draw``'s argument says whether its result will serve other cells too.
     """
-    store = _sweep_store
-    if store is None or not isinstance(rep_seed, np.random.SeedSequence):
+    if stored is None:
         return draw(False)
-    return store.fetch(shared_stage_key(cfg), rep_seed, stage, lambda: keep(draw(True)))
+    if stage not in stored:
+        stored[stage] = keep(draw(True))
+    return stored[stage]
 
 
 @dataclass
@@ -360,21 +319,14 @@ def _read_only(network: tuple[PointSet, CoverageRanges]) -> tuple[PointSet, Cove
 
 
 def build_network(cfg: ScenarioConfig, rep_seed) -> tuple[PointSet, CoverageRanges]:
-    """Replication steps 1-2: SBS positions from stream (0,), coverage ranges from (1,).
-
-    In a sweep, each replication's network is drawn once and kept read-only.
-    """
-
-    def draw(_stored):
-        sbs = sample_binomial_disk(cfg.n_sbs, cfg.cell_radius, _stream(rep_seed, 0))
-        if cfg.uses_range_interval():
-            rng = np.random.default_rng(_stream(rep_seed, 1))
-            ranges = rng.uniform(cfg.sbs_range_min, cfg.sbs_range_max, cfg.n_sbs)
-        else:
-            ranges = np.full(cfg.n_sbs, float(cfg.sbs_range))
-        return sbs, CoverageRanges(ranges)
-
-    return _shared(cfg, rep_seed, "network", draw, _read_only)
+    """Replication steps 1-2: SBS positions from stream (0,), coverage ranges from (1,)."""
+    sbs = sample_binomial_disk(cfg.n_sbs, cfg.cell_radius, _stream(rep_seed, 0))
+    if cfg.uses_range_interval():
+        rng = np.random.default_rng(_stream(rep_seed, 1))
+        ranges = rng.uniform(cfg.sbs_range_min, cfg.sbs_range_max, cfg.n_sbs)
+    else:
+        ranges = np.full(cfg.n_sbs, float(cfg.sbs_range))
+    return sbs, CoverageRanges(ranges)
 
 
 def build_policy_artifacts(
@@ -419,6 +371,7 @@ def measure_hit_rate(
     placement: Placement,
     rep_seed,
     catalog: Catalog,
+    stored: dict | None = None,
 ) -> float:
     """Replication steps 4-5: play the request rounds against a fixed placement.
 
@@ -430,9 +383,10 @@ def measure_hit_rate(
     the pairs (u, j): user-round u is covered by station j. A request is a
     hit iff some such station caches the requested rank, read from the
     per-color block table. A request of a user-round that is not live is a
-    miss whatever covers it. In a sweep, each replication's pairs and ranks
-    are drawn once and kept narrowed for every cell at the axis value, so
-    ``cached`` is then all ranks and the pairs cover all user-rounds.
+    miss whatever covers it. Given a sweep's ``stored`` entry for the
+    replication, the pairs and ranks are drawn once into it and kept
+    narrowed for every cell at the axis value, so ``cached`` is then all
+    ranks and the pairs cover all user-rounds.
     """
     n_users, q = cfg.n_users, cfg.requests_per_round
     if cfg.n_rounds * n_users * q == 0:
@@ -451,7 +405,7 @@ def measure_hit_rate(
         u, j = access_pairs(PointSet(xy.reshape(-1, 2)[live], cfg.cell_radius), sbs, ranges)
         return live[u], j, ranks
 
-    u, j, ranks = _shared(cfg, rep_seed, "rounds", draw, lambda rounds: tuple(map(_narrow, rounds)))
+    u, j, ranks = _shared(stored, "rounds", draw, lambda rounds: tuple(map(_narrow, rounds)))
     # flat indices into the (pair, request) grid of the requests their station caches
     cached_at = np.flatnonzero(table[(placement.colors - 1)[j, None], ranks[u] - 1])
     hit = np.zeros(ranks.shape, dtype=bool)
@@ -459,11 +413,16 @@ def measure_hit_rate(
     return int(hit.sum()) / ranks.size
 
 
-def run_replication(cfg: ScenarioConfig, rep_seed, catalog: Catalog) -> tuple[float, int]:
-    """One full replication on the scenario's catalog; returns (hit_rate, colors_used)."""
-    sbs, ranges = build_network(cfg, rep_seed)
+def run_replication(
+    cfg: ScenarioConfig, rep_seed, catalog: Catalog, stored: dict | None = None
+) -> tuple[float, int]:
+    """One full replication on the scenario's catalog; returns (hit_rate, colors_used).
+
+    With a sweep's ``stored`` entry, the network is drawn once into it and kept read-only.
+    """
+    sbs, ranges = _shared(stored, "network", lambda _: build_network(cfg, rep_seed), _read_only)
     art = build_policy_artifacts(cfg, sbs, ranges, rep_seed, catalog)
-    hit_rate = measure_hit_rate(cfg, sbs, ranges, art.placement, rep_seed, catalog)
+    hit_rate = measure_hit_rate(cfg, sbs, ranges, art.placement, rep_seed, catalog, stored)
     return hit_rate, art.colors_used
 
 
@@ -473,27 +432,30 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> SimResult:
     Replication i always uses the i-th seed derived from ``master_seed`` and
     aggregation follows replication order, so the result does not depend on
     how the replications were scheduled. They share the scenario's one
-    catalog, which no replication writes.
+    catalog, which no replication writes. When ``cfg`` is the cell that a
+    sweep on this thread is running, replication i gets entry i of the
+    sweep's store as an argument; any other call stores nothing.
     """
     _check_workers(workers)
     cfg.validate()
     seeds = replication_seeds(cfg.master_seed, cfg.replications)
     catalog = Catalog(cfg.file_count, cfg.alpha)
+    store = _sweeping.store if getattr(_sweeping, "cell", None) is cfg else None
+    stored = [None if store is None else store.setdefault(i, {}) for i in range(len(seeds))]
 
-    def one(indexed) -> tuple[float, int]:
-        i, seed = indexed
+    def one(i: int) -> tuple[float, int]:
         try:
-            return run_replication(cfg, seed, catalog)
+            return run_replication(cfg, seeds[i], catalog, stored[i])
         except Exception as exc:
             raise ReplicationError(
                 i, f"replication {i} (master_seed={cfg.master_seed}) failed: {exc}"
             ) from exc
 
     if workers == 1:
-        results = [one(item) for item in enumerate(seeds)]
+        results = [one(i) for i in range(len(seeds))]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, enumerate(seeds)))
+            results = list(pool.map(one, range(len(seeds))))
     return SimResult(
         per_replication=tuple(r[0] for r in results),
         colors_used=tuple(r[1] for r in results),
@@ -524,12 +486,11 @@ def sweep(
     cell's config is validated before any cell runs, so a bad value raises
     ValueError at once.
 
-    Cells run in order, one ``run_scenario`` call each, with a
-    ``SharedStages`` store in the slot: the first cell at an axis value draws each
-    replication's shared stages and the cells after it read them back. The
-    store is dropped when the sweep ends or fails.
+    Cells run in order, one ``run_scenario`` call each. Each axis value
+    gets a new store that only this thread can reach: the first cell at the
+    value draws each replication's shared stages into it and the cells after
+    it read them back. The store is dropped when the sweep ends or fails.
     """
-    global _sweep_store
     _check_workers(workers)
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}")
@@ -551,19 +512,17 @@ def sweep(
             cfg_cell = dataclasses.replace(cfg, **overrides)
             cfg_cell.validate()
             runs.append((value, label, cfg_cell))
-    store = SharedStages()
-    with _sweep_store_lock:
-        _sweep_store = store
+    cells = []
     try:
-        return [
-            SweepCell(axis, value, label, run_scenario(cfg_cell, workers=workers), cfg.master_seed)
-            for value, label, cfg_cell in runs
-        ]
+        for k, (value, label, cfg_cell) in enumerate(runs):
+            if k % len(policies) == 0:
+                _sweeping.store = {}
+            _sweeping.cell = cfg_cell
+            result = run_scenario(cfg_cell, workers=workers)
+            cells.append(SweepCell(axis, value, label, result, cfg.master_seed))
     finally:
-        with _sweep_store_lock:
-            # a sweep started since in another thread owns the slot now
-            if _sweep_store is store:
-                _sweep_store = None
+        _sweeping.cell = _sweeping.store = None
+    return cells
 
 
 def format_number(value) -> str:

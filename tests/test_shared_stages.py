@@ -1,10 +1,11 @@
 """A sweep's shared stages: drawn once per replication seed, identical to fresh cells.
 
 ``sim.sweep`` keeps each replication's network, users, requests and access
-pairs in a ``SharedStages`` store so that the cells after the first at an
-axis value read them back. These tests pin that every cell still equals an
-independent ``run_scenario`` of its config, what the store key covers, and
-that the store lives exactly as long as its sweep.
+pairs in a store that only the sweeping thread reaches, so that the cells
+after the first at an axis value read them back. These tests pin that every
+cell still equals an independent ``run_scenario`` of its config, that only
+the cell the sweep is running reads the store, and that the store lives
+exactly as long as its sweep and holds one axis value at a time.
 """
 
 import dataclasses
@@ -45,7 +46,21 @@ WRAP = (
     ),
     "n_sbs", [9, 16], ["baseline", "threshold", "matern"],
 )
-CASES = {"custom": CUSTOM, "wrap": WRAP}
+# every sweep token over interval ranges: a token that overrode an input of
+# the shared stages would read another cell's draws and differ from its run
+TOKENS = (
+    dataclasses.replace(
+        SMALL, cell_radius=150.0, sbs_range=None, sbs_range_min=40.0, sbs_range_max=90.0,
+        requests_per_round=2, replications=3,
+    ),
+    "n_sbs", [6, 14], list(sim.POLICY_TOKENS),
+)
+CASES = {"custom": CUSTOM, "wrap": WRAP, "tokens": TOKENS}
+
+
+def _store():
+    """The store of the sweep this thread is running, or None."""
+    return getattr(sim._sweeping, "store", None)
 
 
 def _recipe(name):
@@ -73,7 +88,7 @@ def _recorded_sweep(monkeypatch, cfg, axis, values, policies, workers, after_cel
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("case", ["fig3", "fig4", "fig5", "custom", "wrap"])
+@pytest.mark.parametrize("case", ["fig3", "fig4", "fig5", "custom", "wrap", "tokens"])
 def test_sweep_cells_equal_independent_runs(monkeypatch, case, workers):
     # a cell reads the stored pairs of every user-round; an independent run
     # draws the pairs of its live user-rounds only
@@ -91,32 +106,13 @@ def test_sweep_cells_equal_independent_runs(monkeypatch, case, workers):
         assert max(max(c.result.colors_used) for c in cells) * cfg.memory > cfg.file_count
 
 
-def _other_value(cfg, name):
-    kind, _ = sim.CONFIG_FIELDS[name]
-    value = getattr(cfg, name)
-    if value is None:
-        return kind(1)
-    return value + "_other" if kind is str else value + 1
-
-
-def test_placement_only_fields_are_config_fields():
-    assert set(sim.PLACEMENT_ONLY_FIELDS) <= set(sim.CONFIG_FIELDS)
-
-
-@pytest.mark.parametrize("name", list(sim.CONFIG_FIELDS))
-def test_store_key_covers_every_shared_input(name):
-    other = dataclasses.replace(SMALL, **{name: _other_value(SMALL, name)})
-    same = sim.shared_stage_key(SMALL) == sim.shared_stage_key(other)
-    assert same == (name in sim.PLACEMENT_ONLY_FIELDS)
-
-
 def test_runs_outside_a_sweep_pack_nothing(monkeypatch):
     # narrowing costs time; only a sweep, whose later cells read the store, may pay it
     def refuse(*args):
         raise AssertionError("narrowed or stored outside a sweep")
 
     monkeypatch.setattr(sim, "_narrow", refuse)
-    monkeypatch.setattr(sim.SharedStages, "fetch", refuse)
+    monkeypatch.setattr(sim, "_read_only", refuse)
     run_scenario(dataclasses.replace(SMALL, policy="matern_coloring"), workers=2)
     sbs, ranges = sim.build_network(SMALL, sim.replication_seeds(SMALL.master_seed, 1)[0])
     assert sbs.xy.flags.writeable and ranges.ranges.flags.writeable
@@ -125,7 +121,7 @@ def test_runs_outside_a_sweep_pack_nothing(monkeypatch):
 def test_store_is_dropped_after_a_sweep_and_runs_stay_fresh():
     before = run_scenario(SMALL)
     sweep(SMALL, "alpha", [0.4, 0.8], ["baseline", "matern"])
-    assert sim._sweep_store is None
+    assert _store() is None and sim._sweeping.cell is None
     assert run_scenario(SMALL) == before
 
 
@@ -138,20 +134,22 @@ def test_store_is_dropped_after_a_failed_sweep():
     before = run_scenario(dense)
     with pytest.raises(ReplicationError):
         sweep(dense, "n_sbs", [2], ["baseline", "matern"])
-    assert sim._sweep_store is None
+    assert _store() is None and sim._sweeping.cell is None
     assert run_scenario(dense) == before
 
 
 def test_store_holds_one_key_in_minimal_dtypes(monkeypatch):
+    # one axis value's replications at a time, each entry narrowed and read-only
     seen = []
 
     def inspect_store(cfg_cell):
-        store = sim._sweep_store
-        assert store is not None
-        seen.append(len(store._entries))
-        assert len(store._entries) <= cfg_cell.replications
-        for entry in store._entries.values():
+        store = _store()
+        assert store is not None and sim._sweeping.cell is cfg_cell
+        seen.append((cfg_cell.n_sbs, store, sorted(store)))
+        for entry in store.values():
             assert set(entry) == {"network", "rounds"}
+            sbs, ranges = entry["network"]
+            assert not sbs.xy.flags.writeable and not ranges.ranges.flags.writeable
             u, j, ranks = entry["rounds"]
             for a in (u, j, ranks):
                 assert a.dtype == np.min_scalar_type(a.max(initial=0))
@@ -163,7 +161,45 @@ def test_store_holds_one_key_in_minimal_dtypes(monkeypatch):
 
     cfg = dataclasses.replace(SMALL, requests_per_round=2)
     _recorded_sweep(monkeypatch, cfg, "n_sbs", [6, 30], ["baseline", "threshold"], 2, inspect_store)
-    assert seen == [cfg.replications] * 4
+    rows = list(range(cfg.replications))
+    assert [(n, r) for n, _, r in seen] == [(6, rows), (6, rows), (30, rows), (30, rows)]
+    # the cells at a value share a store; the next value starts a new one
+    stores = [store for _, store, _ in seen]
+    assert stores[0] is stores[1] and stores[2] is stores[3] and stores[1] is not stores[2]
+
+
+def test_only_the_running_cell_reads_the_store(monkeypatch):
+    # perfbench times each cell through a (cfg, workers) wrapper. Before each
+    # cell, this one runs another config on the sweeping thread and the
+    # cell's own config on a second thread: neither may store or read
+    narrowed = []
+    narrow = sim._narrow
+    monkeypatch.setattr(sim, "_narrow", lambda a: narrowed.append(a) or narrow(a))
+    other = dataclasses.replace(SMALL, n_users=150, policy="threshold_coloring")
+    original = sim.run_scenario
+    side = []
+
+    def timed(cfg, workers=1):
+        count = len(narrowed)
+        here = original(other, workers=workers)
+        there = []
+        thread = threading.Thread(target=lambda: there.append(original(cfg, workers=workers)))
+        thread.start()
+        thread.join(timeout=60)
+        assert len(narrowed) == count
+        side.append((other, here))
+        side.append((dataclasses.replace(cfg), there[0]))
+        return original(cfg, workers=workers)
+
+    monkeypatch.setattr(sim, "run_scenario", timed)
+    cells = sweep(SMALL, "n_sbs", [6, 30], ["baseline", "matern"])
+    monkeypatch.setattr(sim, "run_scenario", original)
+    assert narrowed, "the sweep's own cells stored nothing"
+    assert len(side) == 2 * len(cells)
+    for cfg_side, result in side:
+        assert result == run_scenario(cfg_side)
+    alone = sweep(SMALL, "n_sbs", [6, 30], ["baseline", "matern"])
+    assert sweep_to_csv(cells) == sweep_to_csv(alone)
 
 
 def test_concurrent_sweeps_match_sequential_ones():
@@ -189,7 +225,7 @@ def test_concurrent_sweeps_match_sequential_ones():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert concurrent == sequential
-    assert sim._sweep_store is None
+    assert _store() is None
 
 
 # The report printed when the script ran each policy through its own
