@@ -10,14 +10,12 @@ from .classify import (
 from .coloring import (
     CapacityError,
     Coloring,
-    VertexWeights,
     exact_min_coloring,
     greedy_color_by_degree,
     greedy_color_by_weight,
 )
 from .geometry import PointSet, pairs_within, sample_binomial_disk
 from .netgraph import (
-    CoverageRanges,
     SimpleGraph,
     access_pairs,
     build_class_graph,

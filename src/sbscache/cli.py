@@ -2,7 +2,8 @@
 
 Configs are flat ``key = value`` text files with ``#`` comments; any key can
 be overridden on the command line with ``--key value``, except a key that the
-chosen sweep recipe presets. All output is CSV with LF line endings,
+chosen sweep recipe presets; a flag for one form of the coverage range
+replaces the other form in the file. All output is CSV with LF line endings,
 reproducible byte-for-byte from the master seed.
 """
 
@@ -76,7 +77,15 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Sce
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
         values[key] = _cast(key, raw_value, f"line {lineno}")
-    for key, raw_value in (overrides or {}).items():
+    overrides = overrides or {}
+    # a flag for one range form drops the other form the file sets; both
+    # forms in the file, or both in the flags, still fail validation
+    fixed, interval = {"sbs_range"}, {"sbs_range_min", "sbs_range_max"}
+    for form, other in ((fixed, interval), (interval, fixed)):
+        if form & overrides.keys() and not (other & overrides.keys() or form & values.keys()):
+            for key in other:
+                values.pop(key, None)
+    for key, raw_value in overrides.items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"override: unknown key '{key}'")
         values[key] = _cast(key, raw_value, f"override --{key}")
@@ -94,7 +103,7 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Sce
 
 def parse_config_file(path: str, overrides: dict[str, str] | None = None) -> ScenarioConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None

@@ -2,7 +2,8 @@
 
 Two greedy priority orders (static degree, vertex weight) and an exact
 minimum-coloring solver for small instances. Color indices start at 1 and
-are dense; they double as cache-fill priorities downstream.
+are dense; they double as cache-fill priorities downstream. Vertex weights
+are a plain integer vector, checked by the function that reads them.
 """
 
 from __future__ import annotations
@@ -44,21 +45,6 @@ class Coloring:
         return self.colors.shape[0]
 
 
-@dataclass
-class VertexWeights:
-    """Non-negative integer priority weight per vertex."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=int).reshape(-1)
-        if self.weights.size and self.weights.min() < 0:
-            raise ValueError("weights must be non-negative")
-
-    def __len__(self) -> int:
-        return self.weights.shape[0]
-
-
 def _greedy_in_order(g: SimpleGraph, order) -> Coloring:
     """Smallest feasible color along the given vertex order."""
     ptr, nbr = g.indptr.tolist(), g.indices.tolist()
@@ -78,11 +64,14 @@ def greedy_color_by_degree(g: SimpleGraph) -> Coloring:
     return _greedy_in_order(g, np.argsort(-g.degrees(), kind="stable").tolist())
 
 
-def greedy_color_by_weight(g: SimpleGraph, w: VertexWeights) -> Coloring:
-    """Color in descending weight order, ties broken by vertex index."""
-    if len(w) != g.n:
+def greedy_color_by_weight(g: SimpleGraph, weights) -> Coloring:
+    """Color in descending order of the non-negative integer weights, ties by vertex index."""
+    weights = np.asarray(weights, dtype=int).reshape(-1)
+    if weights.size != g.n:
         raise ValueError("weights length must equal vertex count")
-    return _greedy_in_order(g, np.argsort(-w.weights, kind="stable").tolist())
+    if np.any(weights < 0):
+        raise ValueError("weights must be non-negative")
+    return _greedy_in_order(g, np.argsort(-weights, kind="stable").tolist())
 
 
 def _adjacency_bits(g: SimpleGraph) -> list[int]:

@@ -4,7 +4,8 @@ The conflict graph that the SBS-to-SBS distances give under a threshold,
 the proximity-class graph, and the user-to-SBS access pairs: every relation
 comes from the sparse pair kernel ``geometry.pairs_within``. Every station
 relation is a ``SimpleGraph``, the Matern hard-core graph in ``classify``
-too.
+too. Coverage ranges are a plain float vector, one radius R_i per station;
+each function that reads one checks that every range is positive.
 """
 
 from __future__ import annotations
@@ -65,31 +66,25 @@ class SimpleGraph:
         return adj
 
 
-@dataclass
-class CoverageRanges:
-    """Per-SBS coverage radius R_i in meters."""
-
-    ranges: np.ndarray
-
-    def __post_init__(self):
-        self.ranges = np.asarray(self.ranges, dtype=float).reshape(-1)
-        if self.ranges.size and not np.all(self.ranges > 0):
-            raise ValueError("all coverage ranges must be positive")
-
-    def __len__(self) -> int:
-        return self.ranges.shape[0]
+def _positive_ranges(ranges) -> np.ndarray:
+    """Per-SBS coverage radii R_i in meters as a 1-D float vector; each must be positive."""
+    ranges = np.asarray(ranges, dtype=float).reshape(-1)
+    if not np.all(ranges > 0):
+        raise ValueError("all coverage ranges must be positive")
+    return ranges
 
 
-def individual_thresholds(ranges: CoverageRanges) -> np.ndarray:
+def individual_thresholds(ranges) -> np.ndarray:
     """Per-station thresholds t_i = R_i; pair (i, j) is thresholded at min(t_i, t_j)."""
-    return ranges.ranges
+    return _positive_ranges(ranges)
 
 
-def universal_threshold(ranges: CoverageRanges) -> float:
+def universal_threshold(ranges) -> float:
     """The single threshold applied to every pair: the minimum coverage range."""
-    if len(ranges) == 0:
+    ranges = _positive_ranges(ranges)
+    if ranges.size == 0:
         raise ValueError("universal threshold is undefined for an empty network")
-    return float(ranges.ranges.min())
+    return float(ranges.min())
 
 
 def threshold_graph(sbs: PointSet, thresholds) -> SimpleGraph:
@@ -122,13 +117,12 @@ def build_class_graph(classes: tuple[np.ndarray, np.ndarray], n: int) -> SimpleG
     return SimpleGraph.from_pairs(n, i[upper], j[upper])
 
 
-def access_pairs(
-    users: PointSet, sbs: PointSet, ranges: CoverageRanges
-) -> tuple[np.ndarray, np.ndarray]:
+def access_pairs(users: PointSet, sbs: PointSet, ranges) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays ``(u, j)`` of every user u that can reach SBS j: d(u, S_j) <= R_j."""
-    if len(ranges) != len(sbs):
+    ranges = _positive_ranges(ranges)
+    if ranges.size != len(sbs):
         raise ValueError("ranges length must equal SBS count")
-    return pairs_within(users, sbs, ranges.ranges)
+    return pairs_within(users, sbs, ranges)
 
 
 def graph_to_edge_list(g: SimpleGraph) -> str:

@@ -27,7 +27,7 @@ class Catalog:
     alpha: float
     _pmf: np.ndarray = field(init=False, repr=False, compare=False)
     _cdf: np.ndarray = field(init=False, repr=False, compare=False)
-    _guide: tuple = field(init=False, repr=False, compare=False)
+    _guide: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.file_count < 1:
@@ -37,17 +37,17 @@ class Catalog:
         ranks = np.arange(1, self.file_count + 1, dtype=float)
         weights = ranks ** (-float(self.alpha))
         self._pmf = weights / weights.sum()
-        self._cdf = np.cumsum(self._pmf)
-        # (T, guide, cdf): guide[b] counts the cdf entries in bins 0..b-2 of T.
+        cdf = np.cumsum(self._pmf)
+        # guide[b] counts the cdf entries in bins 0..b-2 of T = guide.size - 1.
         # A uniform u in bin b = floor(u * T) lies above every entry of bins
         # below b - 1, whatever the rounding of u * T, so guide[b] never
-        # exceeds the number of entries <= u. cdf ends in +inf, which stops a
-        # forward step.
+        # exceeds the number of entries <= u. _cdf ends in +inf, which stops a
+        # forward step and exceeds every u in a binary search.
         t = GUIDE_BINS_PER_FILE * self.file_count
-        bins = np.minimum((self._cdf * t).astype(np.intp), t)
-        guide = np.zeros(t + 1, dtype=np.intp)
-        np.cumsum(np.bincount(bins, minlength=t + 1)[: t - 1], out=guide[2:])
-        self._guide = t, guide, np.append(self._cdf, np.inf)
+        bins = np.minimum((cdf * t).astype(np.intp), t)
+        self._guide = np.zeros(t + 1, dtype=np.intp)
+        np.cumsum(np.bincount(bins, minlength=t + 1)[: t - 1], out=self._guide[2:])
+        self._cdf = np.append(cdf, np.inf)
 
 
 def zipf_pmf(catalog: Catalog, rank: int) -> float:
@@ -81,11 +81,11 @@ def lookup_ranks(catalog: Catalog, u: np.ndarray) -> np.ndarray:
     A loop of forward steps instead lost to binary search at alpha 2, where
     the tail bins hold hundreds of entries.
     """
-    t, guide, cdf = catalog._guide
-    idx = guide[(u * t).astype(np.intp)]
+    guide, cdf = catalog._guide, catalog._cdf
+    idx = guide[(u * (guide.size - 1)).astype(np.intp)]
     pending = np.flatnonzero(cdf[idx] <= u)
     idx[pending] += 1
     pending = pending[cdf[idx[pending]] <= u[pending]]
-    idx[pending] = np.searchsorted(catalog._cdf, u[pending], side="right")
+    idx[pending] = np.searchsorted(cdf, u[pending], side="right")
     # u can land at or beyond the last cumulative value through rounding
     return np.minimum(idx, catalog.file_count - 1) + 1

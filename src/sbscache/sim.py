@@ -44,14 +44,12 @@ from .classify import SURVIVOR_COUNTINGS, ClassWeights, classify_and_weigh
 from .coloring import (
     EXACT_SOLVER_LIMIT,
     Coloring,
-    VertexWeights,
     exact_min_coloring,
     greedy_color_by_degree,
     greedy_color_by_weight,
 )
 from .geometry import PointSet, sample_binomial_disk
 from .netgraph import (
-    CoverageRanges,
     SimpleGraph,
     access_pairs,
     build_class_graph,
@@ -311,14 +309,14 @@ def _stream(rep_seed, *path: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(rep_seed.entropy, spawn_key=rep_seed.spawn_key + path)
 
 
-def _read_only(network: tuple[PointSet, CoverageRanges]) -> tuple[PointSet, CoverageRanges]:
+def _read_only(network: tuple[PointSet, np.ndarray]) -> tuple[PointSet, np.ndarray]:
     sbs, ranges = network
     sbs.xy.flags.writeable = False
-    ranges.ranges.flags.writeable = False
+    ranges.flags.writeable = False
     return network
 
 
-def build_network(cfg: ScenarioConfig, rep_seed) -> tuple[PointSet, CoverageRanges]:
+def build_network(cfg: ScenarioConfig, rep_seed) -> tuple[PointSet, np.ndarray]:
     """Replication steps 1-2: SBS positions from stream (0,), coverage ranges from (1,)."""
     sbs = sample_binomial_disk(cfg.n_sbs, cfg.cell_radius, _stream(rep_seed, 0))
     if cfg.uses_range_interval():
@@ -326,11 +324,11 @@ def build_network(cfg: ScenarioConfig, rep_seed) -> tuple[PointSet, CoverageRang
         ranges = rng.uniform(cfg.sbs_range_min, cfg.sbs_range_max, cfg.n_sbs)
     else:
         ranges = np.full(cfg.n_sbs, float(cfg.sbs_range))
-    return sbs, CoverageRanges(ranges)
+    return sbs, ranges
 
 
 def build_policy_artifacts(
-    cfg: ScenarioConfig, sbs: PointSet, ranges: CoverageRanges, rep_seed, catalog: Catalog
+    cfg: ScenarioConfig, sbs: PointSet, ranges: np.ndarray, rep_seed, catalog: Catalog
 ) -> PolicyArtifacts:
     """Replication step 3: the policy's placement pipeline; Matern marks use stream (2,)."""
     n = len(sbs)
@@ -359,7 +357,7 @@ def build_policy_artifacts(
         survivor_counting=cfg.survivor_counting,
     )
     graph = build_class_graph(cw.classes, n)
-    coloring = greedy_color_by_weight(graph, VertexWeights(cw.weights))
+    coloring = greedy_color_by_weight(graph, cw.weights)
     placement = place_by_coloring(coloring, catalog, cfg.memory)
     return PolicyArtifacts(graph, coloring, cw, placement)
 
@@ -367,7 +365,7 @@ def build_policy_artifacts(
 def measure_hit_rate(
     cfg: ScenarioConfig,
     sbs: PointSet,
-    ranges: CoverageRanges,
+    ranges: np.ndarray,
     placement: Placement,
     rep_seed,
     catalog: Catalog,

@@ -25,7 +25,7 @@ import numpy as np
 
 from sbscache.coloring import EXACT_SOLVER_LIMIT, CapacityError, Coloring, _adjacency_bits
 from sbscache.geometry import PointSet
-from sbscache.netgraph import CoverageRanges, SimpleGraph
+from sbscache.netgraph import SimpleGraph
 from sbscache.popularity import Catalog
 from sbscache.sim import ScenarioConfig, build_network, build_policy_artifacts
 
@@ -189,14 +189,15 @@ class DeliveryMap:
     sets: tuple[frozenset[int], ...]
 
 
-def access_matrix(users: PointSet, sbs: PointSet, ranges: CoverageRanges) -> np.ndarray:
+def access_matrix(users: PointSet, sbs: PointSet, ranges) -> np.ndarray:
     """Dense boolean (n_users, n_sbs) matrix: user u can reach SBS j iff d(u, S_j) <= R_j."""
-    if len(ranges) != len(sbs):
+    ranges = np.asarray(ranges, dtype=float)
+    if ranges.size != len(sbs):
         raise ValueError("ranges length must equal SBS count")
-    return distance_matrix(users, sbs) <= ranges.ranges[None, :]
+    return distance_matrix(users, sbs) <= ranges[None, :]
 
 
-def build_access_map(users: PointSet, sbs: PointSet, ranges: CoverageRanges) -> AccessMap:
+def build_access_map(users: PointSet, sbs: PointSet, ranges) -> AccessMap:
     mat = access_matrix(users, sbs, ranges)
     sets = tuple(frozenset(np.flatnonzero(row).tolist()) for row in mat)
     return AccessMap(sets, len(sbs))
@@ -387,7 +388,7 @@ def expected_hit_oracle(
     ``({(policy, alpha): hit}, {alpha: ceiling})``.
     """
     sbs, ranges = build_network(cfg, rep_seed)
-    cover = grid_coverage(cfg.cell_radius, spacing, sbs.xy, ranges.ranges)
+    cover = grid_coverage(cfg.cell_radius, spacing, sbs.xy, ranges)
     multiplicity = cover.sum(axis=1)
     pmfs = {a: zipf_pmf_table(cfg.file_count, a) for a in alphas}
     ceilings = {a: coverage_ceiling(multiplicity, cfg.memory, pmf) for a, pmf in pmfs.items()}

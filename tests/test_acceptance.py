@@ -19,7 +19,6 @@ from sbscache.coloring import (
     exact_min_coloring,
     greedy_color_by_degree,
     greedy_color_by_weight,
-    VertexWeights,
 )
 from sbscache.classify import matern_type_i, matern_type_ii
 from sbscache.geometry import pairs_within, sample_binomial_disk
@@ -140,7 +139,7 @@ def test_criterion_1_coloring_correctness():
         delta = max_degree(g)
 
         c_deg = greedy_color_by_degree(g)
-        c_wgt = greedy_color_by_weight(g, VertexWeights(rng.integers(0, 10, n)))
+        c_wgt = greedy_color_by_weight(g, rng.integers(0, 10, n))
         assert is_proper(g, c_deg) and c_deg.k <= delta + 1
         assert is_proper(g, c_wgt) and c_wgt.k <= delta + 1
 

@@ -16,7 +16,6 @@ from sbscache.classify import (
     classify_and_weigh,
     classweights_to_csv,
 )
-from sbscache.coloring import VertexWeights
 from sbscache.geometry import PointSet, pairs_within
 from sbscache.netgraph import build_class_graph
 
@@ -213,8 +212,6 @@ def test_invariants_on_random_instances(seed, n):
 
 def test_class_graph_input_round_trip():
     cw = classify_and_weigh(ptset([(0, 0), (4, 0), (100, 100)]), R_CLASS, seed=2)
-    weights = VertexWeights(cw.weights)
-    assert np.array_equal(weights.weights, cw.weights)
     g = build_class_graph(cw.classes, 3)
     assert g.adjacency[0, 1] and not g.adjacency[0, 2]
 
@@ -222,7 +219,7 @@ def test_class_graph_input_round_trip():
 def test_singleton_network_adapter():
     cw = classify_and_weigh(ptset([(0, 0)]), R_CLASS, seed=1)
     assert build_class_graph(cw.classes, 1).edges() == []
-    assert VertexWeights(cw.weights).weights.tolist() == [2]
+    assert cw.weights.tolist() == [2]
 
 
 def test_csv_format():

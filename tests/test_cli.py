@@ -7,6 +7,7 @@ from sbscache.cli import (
     ConfigError,
     config_to_text,
     main,
+    parse_config_file,
     parse_config_text,
 )
 from sbscache import sim
@@ -110,6 +111,54 @@ def test_config_round_trip_with_interval():
         max_matern_iterations=17,
     )
     assert parse_config_text(config_to_text(cfg)) == cfg
+
+
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + BASE_CONFIG.encode())
+    assert parse_config_file(str(path)) == parse_config_text(BASE_CONFIG)
+
+
+INTERVAL_CONFIG = BASE_CONFIG.replace("sbs_range = 80\n", "sbs_range_min = 50\nsbs_range_max = 100\n")
+RANGE_FLAGS = {
+    "interval": ["--sbs_range_min", "50", "--sbs_range_max", "100"],
+    "fixed": ["--sbs_range", "80"],
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("file_text, flags, same_as", [
+    (BASE_CONFIG, RANGE_FLAGS["interval"], INTERVAL_CONFIG),
+    (INTERVAL_CONFIG, RANGE_FLAGS["fixed"], BASE_CONFIG),
+], ids=["fixed-file-interval-flags", "interval-file-fixed-flag"])
+def test_a_range_flag_replaces_the_other_form_in_the_file(
+    tmp_path, capsys, command, file_text, flags, same_as
+):
+    args = {"run": ["--policy", "threshold_coloring"],
+            "sweep": ["--axis", "n_sbs", "--values", "4,12", "--policies", "baseline,threshold"]}
+    outputs = []
+    for text, extra in ((file_text, flags), (same_as, [])):
+        path = tmp_path / "scenario.cfg"
+        path.write_text(text)
+        assert main([command, str(path), *args[command], *extra]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_both_range_forms_in_the_flags_are_a_config_error(config_path, capsys, command):
+    args = [command, config_path, *RANGE_FLAGS["fixed"], *RANGE_FLAGS["interval"]]
+    if command == "sweep":
+        args += ["--axis", "n_sbs", "--values", "4", "--policies", "baseline"]
+    assert main(args) == 2
+    assert "not both" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [{"sbs_range": "60"}, {"sbs_range_min": "40"}])
+def test_both_range_forms_in_the_file_stay_an_error_under_a_range_flag(flag):
+    text = "n_sbs = 4\nsbs_range = 80\nsbs_range_min = 50\nsbs_range_max = 100\n"
+    with pytest.raises(ConfigError, match="not both"):
+        parse_config_text(text, overrides=flag)
 
 
 def test_run_outputs_one_csv_row(config_path, capsys):

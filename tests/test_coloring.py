@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from sbscache.coloring import (
     CapacityError,
     Coloring,
-    VertexWeights,
     coloring_to_csv,
     exact_min_coloring,
     greedy_color_by_degree,
@@ -83,19 +82,24 @@ def test_greedy_degree_star():
 
 def test_greedy_weight_heavier_vertex_first():
     g = graph_from_edges(2, [(0, 1)])
-    assert greedy_color_by_weight(g, VertexWeights(np.array([5, 1]))).colors.tolist() == [1, 2]
-    assert greedy_color_by_weight(g, VertexWeights(np.array([1, 5]))).colors.tolist() == [2, 1]
+    assert greedy_color_by_weight(g, np.array([5, 1])).colors.tolist() == [1, 2]
+    assert greedy_color_by_weight(g, np.array([1, 5])).colors.tolist() == [2, 1]
 
 
 def test_greedy_weight_path():
     g = graph_from_edges(3, [(0, 1), (1, 2)])
-    c = greedy_color_by_weight(g, VertexWeights(np.array([1, 9, 1])))
+    c = greedy_color_by_weight(g, np.array([1, 9, 1]))
     assert c.colors.tolist() == [2, 1, 2] and c.k == 2
 
 
 def test_greedy_weight_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        greedy_color_by_weight(edgeless(3), VertexWeights(np.array([1, 2])))
+        greedy_color_by_weight(edgeless(3), np.array([1, 2]))
+
+
+def test_greedy_weight_rejects_a_negative_weight():
+    with pytest.raises(ValueError, match="weights must be non-negative"):
+        greedy_color_by_weight(edgeless(3), np.array([1, -1, 2]))
 
 
 def test_exact_odd_cycle_needs_three():
@@ -165,7 +169,7 @@ def graphs(draw, max_n=10):
 @given(graphs())
 @settings(max_examples=200, deadline=None)
 def test_greedy_colorings_proper_and_bounded(g):
-    weights = VertexWeights(np.arange(g.n)[::-1].copy())
+    weights = np.arange(g.n)[::-1].copy()
     for c in (greedy_color_by_degree(g), greedy_color_by_weight(g, weights)):
         assert is_proper(g, c)
         if g.n:

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from sbscache.classify import SURVIVOR_COUNTINGS, classify_and_weigh
 from sbscache.geometry import PointSet, pairs_within, sample_binomial_disk
 from sbscache.netgraph import (
-    CoverageRanges,
     individual_thresholds,
     threshold_graph,
     universal_threshold,
@@ -104,7 +103,7 @@ def test_scaling_every_length_by_a_power_of_two_changes_nothing(cfg, power):
             sbs, ranges = build_network(cfg_p, seed)
             sbs_big, ranges_big = build_network(big_p, seed)
             assert sbs_big.xy.tolist() == (sbs.xy * factor).tolist()
-            assert ranges_big.ranges.tolist() == (ranges.ranges * factor).tolist()
+            assert ranges_big.tolist() == (ranges * factor).tolist()
             art = build_policy_artifacts(cfg_p, sbs, ranges, seed, catalog)
             art_big = build_policy_artifacts(big_p, sbs_big, ranges_big, seed, catalog)
             assert art_big.placement.colors.tolist() == art.placement.colors.tolist()
@@ -134,13 +133,13 @@ def test_a_quarter_turn_keeps_every_station_relation(seed, n, low, spread, r_cla
     rng = np.random.default_rng(seed)
     sbs = sample_binomial_disk(n, 350.0, rng)
     users = sample_binomial_disk(100, 350.0, rng)
-    ranges = CoverageRanges(rng.uniform(low, low + spread, n))
+    ranges = rng.uniform(low, low + spread, n)
     sbs_t, users_t = quarter_turn(sbs), quarter_turn(users)
-    assert pair_set(pairs_within(sbs_t, sbs_t, ranges.ranges)) == pair_set(
-        pairs_within(sbs, sbs, ranges.ranges)
+    assert pair_set(pairs_within(sbs_t, sbs_t, ranges)) == pair_set(
+        pairs_within(sbs, sbs, ranges)
     )
-    assert pair_set(pairs_within(users_t, sbs_t, ranges.ranges)) == pair_set(
-        pairs_within(users, sbs, ranges.ranges)
+    assert pair_set(pairs_within(users_t, sbs_t, ranges)) == pair_set(
+        pairs_within(users, sbs, ranges)
     )
     picks = (individual_thresholds, universal_threshold) if n else (individual_thresholds,)
     for pick in picks:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sbscache.geometry import PointSet, pairs_within, sample_binomial_disk
 from sbscache.netgraph import (
-    CoverageRanges,
     SimpleGraph,
     access_pairs,
     build_class_graph,
@@ -56,13 +55,13 @@ def test_weighted_graph_symmetric_zero_diagonal():
 
 
 def test_individual_thresholds_uniform_ranges():
-    tr = individual_thresholds(CoverageRanges(np.full(4, 80.0)))
+    tr = individual_thresholds(np.full(4, 80.0))
     assert np.all(tr == 80.0)
 
 
 def test_individual_thresholds_min_rule():
     # d = 75 lies within R_1 = 100 but not within R_0 = 50
-    ranges = individual_thresholds(CoverageRanges(np.array([50.0, 100.0])))
+    ranges = individual_thresholds(np.array([50.0, 100.0]))
     assert threshold_graph(ptset([(0, 0), (75, 0)]), ranges).edges() == []
     assert threshold_graph(ptset([(0, 0), (50, 0)]), ranges).edges() == [(0, 1)]
 
@@ -80,13 +79,13 @@ def test_individual_thresholds_symmetric():
 
 
 def test_universal_threshold_examples():
-    assert universal_threshold(CoverageRanges(np.array([50.0, 80.0, 100.0]))) == 50.0
-    assert universal_threshold(CoverageRanges(np.full(5, 80.0))) == 80.0
+    assert universal_threshold(np.array([50.0, 80.0, 100.0])) == 50.0
+    assert universal_threshold(np.full(5, 80.0)) == 80.0
 
 
 def test_universal_threshold_matches_pair_scan():
     rng = np.random.default_rng(4)
-    ranges = CoverageRanges(rng.uniform(50, 100, 10))
+    ranges = rng.uniform(50, 100, 10)
     r = individual_thresholds(ranges)
     brute = min(min(r[i], r[j]) for i in range(10) for j in range(10) if i != j)
     assert universal_threshold(ranges) == brute
@@ -94,7 +93,21 @@ def test_universal_threshold_matches_pair_scan():
 
 def test_universal_threshold_empty_network():
     with pytest.raises(ValueError):
-        universal_threshold(CoverageRanges(np.array([])))
+        universal_threshold(np.array([]))
+
+
+RANGE_READERS = {
+    "individual_thresholds": individual_thresholds,
+    "universal_threshold": universal_threshold,
+    "access_pairs": lambda r: access_pairs(ptset([(0, 0)]), ptset([(0, 0), (10, 0), (20, 0)]), r),
+}
+
+
+@pytest.mark.parametrize("reader", RANGE_READERS)
+@pytest.mark.parametrize("bad", [0.0, -5.0, np.nan])
+def test_range_readers_reject_a_non_positive_range(reader, bad):
+    with pytest.raises(ValueError, match="all coverage ranges must be positive"):
+        RANGE_READERS[reader](np.array([80.0, bad, 60.0]))
 
 
 def test_threshold_graph_far_apart_no_edge():
@@ -120,7 +133,7 @@ def test_threshold_graph_matches_brute_force_at_cell_scale():
 
 def test_universal_edges_subset_of_individual_edges():
     sbs = sample_binomial_disk(30, 350.0, seed=8)
-    ranges = CoverageRanges(np.random.default_rng(8).uniform(50, 100, 30))
+    ranges = np.random.default_rng(8).uniform(50, 100, 30)
     g_uni = threshold_graph(sbs, universal_threshold(ranges))
     g_ind = threshold_graph(sbs, individual_thresholds(ranges))
     assert np.all(~g_uni.adjacency | g_ind.adjacency)
@@ -193,7 +206,7 @@ def test_class_graph_pair():
 def test_access_map_out_of_range_user():
     # the second user sits exactly at the range (a 48-64-80 triangle): covered
     users, sbs = ptset([(90, 0), (48, 64)]), ptset([(0, 0)])
-    amap = build_access_map(users, sbs, CoverageRanges(np.array([80.0])))
+    amap = build_access_map(users, sbs, np.array([80.0]))
     assert amap.sets[0] == frozenset()
     assert amap.sets[1] == frozenset({0})
 
@@ -201,7 +214,7 @@ def test_access_map_out_of_range_user():
 def test_access_map_dual_coverage():
     users = ptset([(5, 0)])
     sbs = ptset([(0, 0), (10, 0)])
-    amap = build_access_map(users, sbs, CoverageRanges(np.array([80.0, 80.0])))
+    amap = build_access_map(users, sbs, np.array([80.0, 80.0]))
     assert amap.sets[0] == frozenset({0, 1})
 
 
@@ -215,7 +228,7 @@ def test_access_matrix_uses_the_one_distance_kernel(monkeypatch):
 
     monkeypatch.setattr(oracles, "distance_matrix", counted)
     users, sbs = ptset([(5, 0), (90, 0), (0, 0)]), ptset([(0, 0), (10, 0)])
-    acc = access_matrix(users, sbs, CoverageRanges(np.array([80.0, 80.0])))
+    acc = access_matrix(users, sbs, np.array([80.0, 80.0]))
     assert acc.tolist() == [[True, True], [False, True], [True, True]]
     assert calls == [(3, 2)]
 
@@ -223,20 +236,20 @@ def test_access_matrix_uses_the_one_distance_kernel(monkeypatch):
 def test_access_pairs_are_the_dense_access_matrix():
     users = sample_binomial_disk(1000, 350.0, seed=12)
     sbs = sample_binomial_disk(48, 350.0, seed=13)
-    ranges = CoverageRanges(np.random.default_rng(14).uniform(50.0, 100.0, 48))
+    ranges = np.random.default_rng(14).uniform(50.0, 100.0, 48)
     u, j = access_pairs(users, sbs, ranges)
     acc = np.zeros((1000, 48), dtype=bool)
     acc[u, j] = True
     assert u.size == acc.sum()  # no pair twice
     assert np.array_equal(acc, access_matrix(users, sbs, ranges))
     with pytest.raises(ValueError):
-        access_pairs(users, sbs, CoverageRanges(np.full(47, 80.0)))
+        access_pairs(users, sbs, np.full(47, 80.0))
 
 
 def test_access_map_matches_brute_force_at_cell_scale():
     users = sample_binomial_disk(1000, 350.0, seed=10)
     sbs = sample_binomial_disk(48, 350.0, seed=11)
-    ranges = CoverageRanges(np.full(48, 80.0))
+    ranges = np.full(48, 80.0)
     amap = build_access_map(users, sbs, ranges)
     for u in range(0, 1000, 37):  # stride keeps the scan cheap
         expected = {

@@ -122,7 +122,7 @@ def _edge_uniforms(cat: Catalog) -> np.ndarray:
     """Uniforms where a lookup can go wrong: at, just below and just above every
     cdf entry and guide-table bin edge k/T, 0, and the largest double below 1."""
     t = GUIDE_BINS_PER_FILE * cat.file_count
-    points = np.concatenate((cat._cdf, np.arange(t) / t))
+    points = np.concatenate((cat._cdf[:-1], np.arange(t) / t))
     u = np.concatenate((points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
                         [0.0, np.nextafter(1.0, 0.0)]))
     return u[(u >= 0.0) & (u < 1.0)]
@@ -130,9 +130,9 @@ def _edge_uniforms(cat: Catalog) -> np.ndarray:
 
 def test_catalog_is_complete_when_built_and_lookups_never_write_it():
     cat = Catalog(1000, 0.6)
-    t, guide, cdf = cat._guide
-    assert t == GUIDE_BINS_PER_FILE * cat.file_count and guide.shape == (t + 1,)
-    assert cdf[:-1].tolist() == cat._cdf.tolist() and cdf[-1] == np.inf
+    assert cat._guide.shape == (GUIDE_BINS_PER_FILE * cat.file_count + 1,)
+    assert cat._cdf.shape == (cat.file_count + 1,) and cat._cdf[-1] == np.inf
+    assert cat._cdf[:-1].tolist() == np.cumsum(cat._pmf).tolist()
     fields = dict(vars(cat))
     frozen = pickle.dumps(fields)
     rng = np.random.default_rng(4)

@@ -115,7 +115,7 @@ def test_runs_outside_a_sweep_pack_nothing(monkeypatch):
     monkeypatch.setattr(sim, "_read_only", refuse)
     run_scenario(dataclasses.replace(SMALL, policy="matern_coloring"), workers=2)
     sbs, ranges = sim.build_network(SMALL, sim.replication_seeds(SMALL.master_seed, 1)[0])
-    assert sbs.xy.flags.writeable and ranges.ranges.flags.writeable
+    assert sbs.xy.flags.writeable and ranges.flags.writeable
 
 
 def test_store_is_dropped_after_a_sweep_and_runs_stay_fresh():
@@ -149,7 +149,7 @@ def test_store_holds_one_key_in_minimal_dtypes(monkeypatch):
         for entry in store.values():
             assert set(entry) == {"network", "rounds"}
             sbs, ranges = entry["network"]
-            assert not sbs.xy.flags.writeable and not ranges.ranges.flags.writeable
+            assert not sbs.xy.flags.writeable and not ranges.flags.writeable
             u, j, ranks = entry["rounds"]
             for a in (u, j, ranks):
                 assert a.dtype == np.min_scalar_type(a.max(initial=0))

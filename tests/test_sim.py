@@ -74,7 +74,7 @@ def test_stream_layout_matches_nested_spawns(seed):
     expected_sbs = sample_binomial_disk(cfg.n_sbs, cfg.cell_radius, spawned(seed, (0,)))
     assert sbs.xy.tolist() == expected_sbs.xy.tolist()
     rng = np.random.default_rng(spawned(seed, (1,)))
-    assert ranges.ranges.tolist() == rng.uniform(40.0, 90.0, cfg.n_sbs).tolist()
+    assert ranges.tolist() == rng.uniform(40.0, 90.0, cfg.n_sbs).tolist()
 
 
 def test_stages_leave_the_callers_seed_unspawned():
