@@ -1,7 +1,8 @@
 """Point configurations in a disk cell and the pair kernel.
 
 ``pairs_within`` gives every pair of points within range of each other, as
-index arrays; station relations and user access both read it.
+index arrays, optionally only the pairs whose two points carry the same
+group label; station relations and user access both read it.
 ``pair_distances`` is its distance formula, for callers that refine the
 pairs of one query to a smaller range.
 
@@ -46,20 +47,25 @@ class PointSet:
         return self.xy.shape[0]
 
 
-def sample_binomial_disk(n: int, region_radius: float, seed: RngSeed) -> PointSet:
+def sample_binomial_disk(n: int, region_radius: float, seed: RngSeed, keep=None) -> PointSet:
     """Draw exactly ``n`` i.i.d. area-uniform points in the disk.
 
     The radius is drawn via the square-root transform (r = R * sqrt(u)) so
     the distribution is uniform in area, and the result is deterministic
-    for a fixed seed.
+    for a fixed seed. Given ``keep``, an index array into the ``n`` points,
+    only those points are returned, in ``keep``'s order: the stream is
+    consumed for all ``n`` and the transforms run on the kept draws alone.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if not region_radius > 0:
         raise ValueError("region_radius must be positive")
     rng = np.random.default_rng(seed)
-    r = region_radius * np.sqrt(rng.random(n))
+    u = rng.random(n)
     theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    if keep is not None:
+        u, theta = u[keep], theta[keep]
+    r = region_radius * np.sqrt(u)
     xy = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
     return PointSet(xy, region_radius)
 
@@ -80,24 +86,45 @@ def pair_distances(ax, ay, i, bx, by, j) -> np.ndarray:
     return np.sqrt(dx, out=dx)
 
 
-def pairs_within(a: PointSet, b: PointSet, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays ``(i, j)`` of every pair with ``d(a_i, b_j) <= radius[j]``.
+def _group_labels(group, n: int) -> np.ndarray:
+    """A point set's group labels as an intp vector, all 0 when ``group`` is None."""
+    if group is None:
+        return np.zeros(n, dtype=np.intp)
+    group = np.asarray(group)
+    if group.shape != (n,):
+        raise ValueError("need one group label per point")
+    if group.dtype.kind not in "iu" or np.any(group < 0):
+        raise ValueError("group labels must be non-negative integers")
+    return group.astype(np.intp, copy=False)
 
-    The distance is ``sqrt(dx*dx + dy*dy)`` with ``dx = a_x - b_x`` and
-    ``dy = a_y - b_y``, so the pair set is that of the dense per-pair
-    threshold bit for bit, and ``pairs_within(a, a, r)`` is symmetric when
-    ``r`` is uniform: (x - y)**2 == (y - x)**2. Both point sets are
-    binned on a grid anchored at -region_radius whose side is at least
-    max(radius) (a cell list), so a pair within range lies in the same or an
-    adjacent bin. Keys run column-major with one padding bin on each side:
-    a point's three y-neighbour bins in each x-column are one contiguous
-    slice of the key-sorted ``b``, bounded through a prefix-sum table. Each
-    x-column's candidates are filtered before the next column's are built.
-    Pairs come out grouped by x-column, not sorted.
+
+def pairs_within(
+    a: PointSet, b: PointSet, radius: np.ndarray, a_group=None, b_group=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays ``(i, j)`` of every pair with ``d(a_i, b_j) <= radius[j]`` and equal labels.
+
+    ``a_group`` and ``b_group`` label each point of ``a`` and ``b`` with a
+    non-negative integer group, all 0 by default; only pairs with
+    ``a_group[i] == b_group[j]`` are returned. The distance is
+    ``sqrt(dx*dx + dy*dy)`` with ``dx = a_x - b_x`` and ``dy = a_y - b_y``,
+    so the pair set is that of the dense per-pair threshold bit for bit,
+    and ``pairs_within(a, a, r)`` is symmetric when ``r`` is uniform:
+    (x - y)**2 == (y - x)**2. Both point sets are binned on a grid anchored
+    at -region_radius whose side is at least max(radius) (a cell list), so
+    a pair within range lies in the same or an adjacent bin. Keys run
+    column-major with one padding bin on each side, and each group has its
+    own padded grid: a point's key is offset by ``group * width**2``. So a
+    point's three y-neighbour bins in each x-column are one contiguous slice
+    of the key-sorted ``b`` holding only its own group, bounded through a
+    prefix-sum table sized by the number of groups; a group that no ``b``
+    point has gives no pairs. Each x-column's candidates are filtered
+    before the next column's are built. Pairs come out grouped by x-column,
+    not sorted.
     """
     radius = np.asarray(radius, dtype=float)
     if radius.shape != (len(b),):
         raise ValueError("need one radius per point of b")
+    a_group, b_group = _group_labels(a_group, len(a)), _group_labels(b_group, len(b))
     if len(a) == 0 or len(b) == 0:
         empty = np.empty(0, dtype=np.intp)
         return empty, empty
@@ -108,21 +135,22 @@ def pairs_within(a: PointSet, b: PointSet, radius: np.ndarray) -> tuple[np.ndarr
     side = max(float(radius.max()) * (1.0 + 1e-9), span / (2 * math.isqrt(len(a) + len(b)) + 1))
     nbins = int(span // side) + 1
     width = nbins + 2
+    groups = 1 + max(int(a_group.max()), int(b_group.max()))
 
-    def keys(xy: np.ndarray) -> np.ndarray:
+    def keys(xy: np.ndarray, group: np.ndarray) -> np.ndarray:
         # truncation is a monotone floor here: points lie at most a rounding
         # error below the grid's origin
         cell = ((xy + span / 2.0) * (1.0 / side)).astype(np.intp)
         np.minimum(cell, nbins - 1, out=cell)
-        return (cell[:, 0] + 1) * width + cell[:, 1] + 1
+        return (cell[:, 0] + 1) * width + cell[:, 1] + 1 + group * (width * width)
 
-    kb = keys(b.xy)
+    kb = keys(b.xy, b_group)
     order = np.argsort(kb, kind="stable")
-    starts = np.zeros(width * width + 1, dtype=np.intp)
-    np.cumsum(np.bincount(kb, minlength=width * width), out=starts[1:])
+    starts = np.zeros(groups * width * width + 1, dtype=np.intp)
+    np.cumsum(np.bincount(kb, minlength=groups * width * width), out=starts[1:])
     bx, by, br = b.xy[order, 0], b.xy[order, 1], radius[order]
     ax, ay = a.xy[:, 0], a.xy[:, 1]
-    ka = keys(a.xy)
+    ka = keys(a.xy, a_group)
     out_i, out_j = [], []
     for shift in (-width, 0, width):
         lo = starts[ka + shift - 1]

@@ -1,8 +1,9 @@
 """The network's graph structures as neighbour lists.
 
 The conflict graph that the SBS-to-SBS distances give under a threshold,
-the proximity-class graph, and the user-to-SBS access pairs: every relation
-comes from the sparse pair kernel ``geometry.pairs_within``. Every station
+the proximity-class graph, and the user-to-SBS access pairs, optionally
+within groups: every relation comes from the sparse pair kernel
+``geometry.pairs_within``. Every station
 relation is a ``SimpleGraph``, the Matern hard-core graph in ``classify``
 too. Coverage ranges are a plain float vector, one radius R_i per station;
 each function that reads one checks that every range is positive.
@@ -117,12 +118,17 @@ def build_class_graph(classes: tuple[np.ndarray, np.ndarray], n: int) -> SimpleG
     return SimpleGraph.from_pairs(n, i[upper], j[upper])
 
 
-def access_pairs(users: PointSet, sbs: PointSet, ranges) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays ``(u, j)`` of every user u that can reach SBS j: d(u, S_j) <= R_j."""
+def access_pairs(
+    users: PointSet, sbs: PointSet, ranges, user_group=None, sbs_group=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays ``(u, j)`` of every user u that can reach SBS j: d(u, S_j) <= R_j.
+
+    Given group labels (``pairs_within``'s), only the pairs of one group are returned.
+    """
     ranges = _positive_ranges(ranges)
     if ranges.size != len(sbs):
         raise ValueError("ranges length must equal SBS count")
-    return pairs_within(users, sbs, ranges)
+    return pairs_within(users, sbs, ranges, user_group, sbs_group)
 
 
 def graph_to_edge_list(g: SimpleGraph) -> str:

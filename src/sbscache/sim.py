@@ -12,11 +12,13 @@ paths), so two policies run with the same seed see identical networks, users
 and requests (paired comparisons), and results are bit-reproducible
 regardless of how many worker threads execute the replications.
 
-Only a request for a rank that some color of the placement caches can hit,
-so the measure stage finds the covering stations of the live user-rounds
-alone: those with at least one such request. The ranks come from the
-catalog's guide table, and each (user-round, station) pair is scored through
-the placement's per-color block table.
+A request for rank f can hit only at a station whose color caches f. So
+the measure stage draws the ranks first, from the catalog's guide table,
+and places only the live user-rounds: those with a request for a rank that
+some color caches. One grouped access query per replication then tests each
+live user-round once per color that caches one of its ranks, against the
+stations of that color alone. Each (user-round, station) pair it gives is
+scored through the placement's per-color block table.
 
 A sweep draws those shared stages once per replication: the first cell at
 an axis value draws each replication's network, users, requests and access
@@ -24,8 +26,9 @@ pairs into a plain dict, replication index to stages, and every later cell
 at that value reads them back. The dict belongs to the thread that runs the
 sweep, and ``run_scenario`` passes each replication its own entry as an
 argument, so worker threads read no hidden state. The later cells'
-placements are not known when the first cell draws, so a stored draw takes
-the access pairs of every user-round.
+placements are not known when the first cell draws, so a stored draw is
+one group: a single color that caches every rank and that every station
+has. It takes the access pairs of every user-round.
 """
 
 from __future__ import annotations
@@ -373,18 +376,22 @@ def measure_hit_rate(
 ) -> float:
     """Replication steps 4-5: play the request rounds against a fixed placement.
 
-    Round r redraws the user positions from stream (3, r, 0), and each user
-    issues ``requests_per_round`` Zipf requests from stream (3, r, 1). A
-    user-round is live when one of its requests asks for a rank in the
-    ``cached`` mask: every rank some color of the placement caches. The live
-    user-rounds of all rounds go through one access kernel call, which gives
-    the pairs (u, j): user-round u is covered by station j. A request is a
-    hit iff some such station caches the requested rank, read from the
-    per-color block table. A request of a user-round that is not live is a
-    miss whatever covers it. Given a sweep's ``stored`` entry for the
-    replication, the pairs and ranks are drawn once into it and kept
-    narrowed for every cell at the axis value, so ``cached`` is then all
-    ranks and the pairs cover all user-rounds.
+    Round r's requests, ``requests_per_round`` Zipf ranks per user, come
+    from stream (3, r, 1) and its user positions from stream (3, r, 0); all
+    ranks are drawn first. A user-round is live when one of its requests
+    asks for a rank that some color caches, and only live user-rounds get
+    positions. One access kernel call for all rounds has one query point per
+    (live user-round, color that caches one of its ranks) in that color's
+    group, against the stations grouped by color. It gives the pairs
+    (u, j): station j covers user-round u and caches one of u's ranks. A
+    request is a hit iff some such station caches its rank, read from the
+    per-color block table. A station has one color, so a rank that several
+    colors cache (wrap-around) is queried once per color, and the hit set is
+    that of every covering station. A request of a user-round that is not
+    live is a miss. Given a sweep's ``stored`` entry, the pairs and ranks are
+    drawn once into it and kept narrowed for every cell at the axis value;
+    that draw has one group, which caches every rank and holds every
+    station, so its pairs cover all user-rounds.
     """
     n_users, q = cfg.n_users, cfg.requests_per_round
     if cfg.n_rounds * n_users * q == 0:
@@ -392,16 +399,29 @@ def measure_hit_rate(
     table = color_table(placement)
 
     def draw(stored):
-        cached = np.ones(catalog.file_count, dtype=bool) if stored else table.any(axis=0)
-        xy = np.empty((cfg.n_rounds, n_users, 2))
+        if stored:
+            groups, labels = np.ones((1, catalog.file_count), dtype=bool), np.zeros(len(sbs), int)
+        else:
+            groups, labels = table, placement.colors - 1
         ranks = np.empty((cfg.n_rounds, n_users * q), dtype=np.intp)
         for r in range(cfg.n_rounds):
-            xy[r] = sample_binomial_disk(n_users, cfg.cell_radius, _stream(rep_seed, 3, r, 0)).xy
             ranks[r] = sample_requests(catalog, n_users * q, _stream(rep_seed, 3, r, 1))
         ranks = ranks.reshape(-1, q)  # request i of a round belongs to its user i // q
-        live = np.flatnonzero(cached[ranks - 1].any(axis=1))
-        u, j = access_pairs(PointSet(xy.reshape(-1, 2)[live], cfg.cell_radius), sbs, ranges)
-        return live[u], j, ranks
+        live = np.flatnonzero(groups.any(axis=0)[ranks - 1].any(axis=1))
+        # round r's live users are keep[bounds[r]:bounds[r + 1]]
+        bounds = np.searchsorted(live, np.arange(cfg.n_rounds + 1) * n_users)
+        keep = live % n_users
+        xy = np.empty((live.size, 2))
+        for r in range(cfg.n_rounds):
+            rows = slice(bounds[r], bounds[r + 1])
+            seed = _stream(rep_seed, 3, r, 0)
+            xy[rows] = sample_binomial_disk(n_users, cfg.cell_radius, seed, keep[rows]).xy
+        # query i * k + c: color c + 1 caches a rank of live user-round i
+        query = np.flatnonzero(groups.T[ranks[live] - 1].any(axis=1))
+        user, color = np.divmod(query, len(groups))
+        users = PointSet(xy[user], cfg.cell_radius)
+        u, j = access_pairs(users, sbs, ranges, color, labels)
+        return live[user[u]], j, ranks
 
     u, j, ranks = _shared(stored, "rounds", draw, lambda rounds: tuple(map(_narrow, rounds)))
     # flat indices into the (pair, request) grid of the requests their station caches

@@ -52,6 +52,23 @@ def test_binomial_disk_deterministic_per_seed():
     assert np.array_equal(a.xy, b.xy)
 
 
+@pytest.mark.parametrize("n", [1000, 10_000])
+def test_binomial_disk_keep_is_the_full_draw_indexed(n):
+    # the measure stage places only live user-rounds: it draws the stream for
+    # all n and transforms the kept draws alone. That gives the full draw's
+    # positions only while numpy's sqrt/cos/sin give an element the same bits
+    # wherever it sits in the array, which numpy does not promise.
+    rng = np.random.default_rng(n)
+    subsets = [np.arange(0), np.arange(n), rng.permutation(n)[: n // 3]]
+    subsets += [np.flatnonzero(rng.random(n) < p) for p in (0.01, 0.3, 0.55, 0.9)]
+    for seed in range(3):
+        full = sample_binomial_disk(n, 350.0, seed).xy
+        for keep in subsets:
+            kept = sample_binomial_disk(n, 350.0, seed, keep).xy
+            assert kept.shape == (keep.size, 2)
+            assert kept.tobytes() == full[keep].tobytes()
+
+
 def test_binomial_disk_rejects_bad_args():
     with pytest.raises(ValueError):
         sample_binomial_disk(-1, 100.0, seed=0)
@@ -232,6 +249,62 @@ def test_pairs_within_finds_pairs_at_exactly_the_range_across_bin_edges(region):
         a = PointSet(np.column_stack((xu, np.zeros_like(xu))), region)
         b = PointSet(np.column_stack((xs, np.zeros_like(xs))), region)
         assert_dense_pairs(a, b, np.full(len(b), r))
+
+
+def assert_grouped_pairs(a, b, radius, a_group, b_group):
+    """Grouped pairs are the ungrouped pairs whose two points carry the same label, none twice."""
+    i, j = pairs_within(a, b, radius, a_group, b_group)
+    ui, uj = pairs_within(a, b, radius)
+    same = a_group[ui] == b_group[uj]
+    assert sorted(zip(i.tolist(), j.tolist())) == sorted(zip(ui[same].tolist(), uj[same].tolist()))
+
+
+@given(pair_kernel_inputs(), st.integers(1, 4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_grouped_pairs_are_the_ungrouped_pairs_with_equal_labels(inputs, groups, data):
+    # a's labels run one past b's, so some points of a may be in a group no
+    # point of b has; groups == 1 puts every point of b in group 0
+    a, b, radius = inputs
+    a_group = np.array(data.draw(st.lists(st.integers(0, groups), min_size=len(a), max_size=len(a))), int)
+    b_group = np.array(data.draw(st.lists(st.integers(0, groups - 1), min_size=len(b), max_size=len(b))), int)
+    assert_grouped_pairs(a, b, radius, a_group, b_group)
+
+
+@given(pair_kernel_inputs())
+@settings(max_examples=50, deadline=None)
+def test_one_group_is_the_ungrouped_kernel(inputs):
+    a, b, radius = inputs
+    grouped = pairs_within(a, b, radius, np.zeros(len(a), int), np.zeros(len(b), np.uint8))
+    ungrouped = pairs_within(a, b, radius)
+    assert all(g.tolist() == u.tolist() for g, u in zip(grouped, ungrouped))
+
+
+@pytest.mark.parametrize("region", [100.0, 350.0])
+def test_grouped_pairs_at_exactly_the_range_across_bin_edges(region):
+    # the bin-edge layout above: stations on grid-bin edges (multiples of the
+    # range r and of the bin side r * (1 + 1e-9)) and one ulp either side,
+    # users at exactly r; labels cycle so each group's grid holds such pairs
+    for r in np.arange(5, 61, 5) * 5 * region / 350:
+        k = np.arange(int(2 * region // r) + 2)
+        xs = np.concatenate([k * r, k * (r * (1.0 + 1e-9))]) - region
+        xs = np.concatenate([np.nextafter(xs, -np.inf), xs, np.nextafter(xs, np.inf)])
+        xs = xs[np.abs(xs) <= region]
+        xu = np.concatenate([xs - r, xs + r])
+        xu = xu[np.abs(xu) <= region]
+        a = PointSet(np.column_stack((xu, np.zeros_like(xu))), region)
+        b = PointSet(np.column_stack((xs, np.zeros_like(xs))), region)
+        for a_mod, b_mod in ((1, 1), (2, 3), (3, 2)):
+            assert_grouped_pairs(a, b, np.full(len(b), r), np.arange(len(a)) % a_mod,
+                                 np.arange(len(b)) % b_mod)
+
+
+@pytest.mark.parametrize("labels", [[-1, 0], [0.0, 1.0], [0.5, 1], [True, False], [0], [[0, 1]]])
+def test_pairs_within_rejects_bad_group_labels(labels):
+    a = ptset([(0, 0), (1, 0)])
+    with pytest.raises(ValueError):
+        pairs_within(a, a, np.full(2, 5.0), a_group=labels)
+    with pytest.raises(ValueError):
+        pairs_within(a, a, np.full(2, 5.0), b_group=labels)
 
 
 def test_pairs_within_key_table_scales_with_the_points_not_the_range():

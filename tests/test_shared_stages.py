@@ -90,8 +90,10 @@ def _recorded_sweep(monkeypatch, cfg, axis, values, policies, workers, after_cel
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", ["fig3", "fig4", "fig5", "custom", "wrap", "tokens"])
 def test_sweep_cells_equal_independent_runs(monkeypatch, case, workers):
-    # a cell reads the stored pairs of every user-round; an independent run
-    # draws the pairs of its live user-rounds only
+    # a cell reads the stored pairs of every user-round, drawn as one group
+    # that caches every rank; an independent run queries each live
+    # user-round once per color that caches one of its ranks, against that
+    # color's stations only
     cfg, axis, values, policies = CASES[case] if case in CASES else _recipe(case)
     cells, calls = _recorded_sweep(monkeypatch, cfg, axis, values, policies, workers)
     # one run_scenario call per cell, in CSV order

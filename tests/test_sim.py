@@ -230,13 +230,23 @@ def test_vectorized_hits_match_delivery_map_semantics(
     assert measured == (hits / total if total else 0.0)
 
 
+# Access-call cases: color blocks of 20 ranks in a 200-file catalog, and in a
+# 30-file one, where color 2's block (ranks 21-30 and 1-10) wraps around.
+ACCESS_CALL_CASES = {
+    "blocks": dict(requests_per_round=2),
+    "wrap-around": dict(requests_per_round=3, file_count=30, memory=20),
+}
+
+
 @pytest.mark.parametrize("n_rounds", [1, 3, 10])
 def test_measure_stage_makes_one_access_call_per_replication(monkeypatch, n_rounds):
-    """All rounds' live user-rounds go through one ``access_pairs`` call.
+    """All rounds' live user-rounds go through one grouped ``access_pairs`` call.
 
     A user-round is live when one of its requests asks for a rank that some
-    station caches. A sweep stores one replication's pairs for every cell at
-    an axis value, so there the call covers every user-round.
+    station caches. It is queried once per color that caches one of its
+    ranks, labelled by that color, against the stations labelled by theirs.
+    A sweep stores one replication's pairs for every cell at an axis value,
+    so there the call covers every user-round, all in one group.
 
     Keep the batching. A per-round loop over the same kernel was faster on
     one thread (61 -> 68 replications/s at 48 SBS), but under the fig3
@@ -247,33 +257,63 @@ def test_measure_stage_makes_one_access_call_per_replication(monkeypatch, n_roun
     calls = []
     original = sim.access_pairs
 
-    def counted(users, sbs, ranges):
-        calls.append(len(users))
-        return original(users, sbs, ranges)
+    def recorded(users, sbs, ranges, user_group, sbs_group):
+        calls.append((users.xy, user_group, sbs_group))
+        return original(users, sbs, ranges, user_group, sbs_group)
 
-    monkeypatch.setattr(sim, "access_pairs", counted)
-    cfg = dataclasses.replace(
-        SMALL, n_rounds=n_rounds, replications=2, requests_per_round=2, policy="threshold_coloring"
-    )
-    run_scenario(cfg)
-    live = []
+    monkeypatch.setattr(sim, "access_pairs", recorded)
+    for case, fields in ACCESS_CALL_CASES.items():
+        calls.clear()
+        cfg = dataclasses.replace(
+            SMALL, n_rounds=n_rounds, replications=2, policy="threshold_coloring", **fields
+        )
+        _check_access_calls(cfg, run_scenario(cfg), calls, wraps=case == "wrap-around")
+        calls.clear()
+        sweep(cfg, "alpha", [cfg.alpha], ["baseline", "threshold", "matern"])
+        assert len(calls) == cfg.replications
+        for xy, user_group, sbs_group in calls:
+            assert len(xy) == n_rounds * cfg.n_users
+            assert not user_group.any() and not sbs_group.any()
+
+
+def _check_access_calls(cfg, result, calls, wraps: bool) -> None:
+    """Each replication's one call queries exactly its (live user-round, caching color) pairs.
+
+    Also checks each replication's hit rate against the set-based delivery map.
+    """
+    assert len(calls) == cfg.replications
+    n_rounds, n_users, q = cfg.n_rounds, cfg.n_users, cfg.requests_per_round
     for i, rep_seed in enumerate(replication_seeds(cfg.master_seed, cfg.replications)):
         catalog = Catalog(cfg.file_count, cfg.alpha)
         sbs, ranges = build_network(cfg, rep_seed)
         p = build_policy_artifacts(cfg, sbs, ranges, rep_seed, catalog).placement
-        cached = frozenset().union(*block_caches_reference(p.colors, p.memory, p.file_count))
-        count = 0
+        k = int(p.colors.max())
+        assert k > 1
+        assert (k * p.memory > p.file_count) == wraps
+        color_caches = block_caches_reference(range(1, k + 1), p.memory, p.file_count)
+        station_caches = block_caches_reference(p.colors, p.memory, p.file_count)
+        points, colors, live, hits = [], [], 0, 0
         for r in range(n_rounds):
+            users = sample_binomial_disk(n_users, cfg.cell_radius, spawned((cfg.master_seed, i), (3, r, 0)))
             rng = np.random.default_rng(spawned((cfg.master_seed, i), (3, r, 1)))
-            ranks = rank_lookup_reference(catalog, rng.random(cfg.n_users * cfg.requests_per_round))
-            count += sum(any(int(f) in cached for f in user) for user in ranks.reshape(cfg.n_users, -1))
-        live.append(count)
-    assert calls == live
-    assert 0 < min(live) and max(live) < n_rounds * cfg.n_users
-
-    calls.clear()
-    sweep(cfg, "alpha", [cfg.alpha], ["baseline", "threshold", "matern"])
-    assert calls == [n_rounds * cfg.n_users] * cfg.replications
+            ranks = rank_lookup_reference(catalog, rng.random(n_users * q)).reshape(n_users, q)
+            for u, user_ranks in enumerate(ranks.tolist()):
+                caching = [c for c, cached in enumerate(color_caches) if cached.intersection(user_ranks)]
+                points += [users.xy[u].tolist()] * len(caching)
+                colors += caching
+                live += bool(caching)
+            delivery = build_delivery_map(station_caches, build_access_map(users, sbs, ranges))
+            hits += sum(f in delivery.sets[u] for u, user_ranks in enumerate(ranks.tolist()) for f in user_ranks)
+        xy, user_group, sbs_group = calls[i]
+        assert xy.tolist() == points
+        assert user_group.tolist() == colors
+        assert sbs_group.tolist() == (p.colors - 1).tolist()
+        assert 0 < live <= n_rounds * n_users
+        if not wraps:  # some user-round asks only for ranks no color caches
+            assert live < n_rounds * n_users
+        # several colors cache some user-round's ranks: one query point each
+        assert len(colors) > live
+        assert result.per_replication[i] == hits / (n_rounds * n_users * q)
 
 
 def test_measure_stage_builds_no_dense_user_station_array():
