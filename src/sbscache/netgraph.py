@@ -3,10 +3,10 @@
 The conflict graph that the SBS-to-SBS distances give under a threshold,
 the proximity-class graph, and the user-to-SBS access pairs, optionally
 within groups: every relation comes from the sparse pair kernel
-``geometry.pairs_within``. Every station
-relation is a ``SimpleGraph``, the Matern hard-core graph in ``classify``
-too. Coverage ranges are a plain float vector, one radius R_i per station;
-each function that reads one checks that every range is positive.
+``geometry.pairs_within``. Every station relation is a ``SimpleGraph``,
+the Matern hard-core graph in ``classify`` too. Coverage ranges are a
+plain float vector, one radius R_i per station; each function that reads
+one checks that every range is positive.
 """
 
 from __future__ import annotations

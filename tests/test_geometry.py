@@ -234,12 +234,11 @@ def test_pairs_within_is_the_dense_threshold(inputs):
     assert_dense_pairs(a, b, radius)
 
 
-@pytest.mark.parametrize("region", [100.0, 350.0])
-def test_pairs_within_finds_pairs_at_exactly_the_range_across_bin_edges(region):
-    # stations on each grid-bin edge and one ulp either side, for bins of
-    # side r and r * (1 + 1e-9), and users at exactly the range along x:
-    # rounding must not push a pair two bins apart
-    for r in np.arange(5, 61) * 5 * region / 350:
+def bin_edge_layouts(region, radii):
+    """``(users, stations, r)`` per range r: stations on each grid-bin edge and one
+    ulp either side, for bins of side r and r * (1 + 1e-9), and users at exactly
+    the range along x."""
+    for r in radii:
         k = np.arange(int(2 * region // r) + 2)
         edges = np.concatenate([k * r, k * (r * (1.0 + 1e-9))]) - region
         xs = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
@@ -248,6 +247,13 @@ def test_pairs_within_finds_pairs_at_exactly_the_range_across_bin_edges(region):
         xu = xu[np.abs(xu) <= region]
         a = PointSet(np.column_stack((xu, np.zeros_like(xu))), region)
         b = PointSet(np.column_stack((xs, np.zeros_like(xs))), region)
+        yield a, b, r
+
+
+@pytest.mark.parametrize("region", [100.0, 350.0])
+def test_pairs_within_finds_pairs_at_exactly_the_range_across_bin_edges(region):
+    # rounding must not push a pair two bins apart
+    for a, b, r in bin_edge_layouts(region, np.arange(5, 61) * 5 * region / 350):
         assert_dense_pairs(a, b, np.full(len(b), r))
 
 
@@ -281,18 +287,8 @@ def test_one_group_is_the_ungrouped_kernel(inputs):
 
 @pytest.mark.parametrize("region", [100.0, 350.0])
 def test_grouped_pairs_at_exactly_the_range_across_bin_edges(region):
-    # the bin-edge layout above: stations on grid-bin edges (multiples of the
-    # range r and of the bin side r * (1 + 1e-9)) and one ulp either side,
-    # users at exactly r; labels cycle so each group's grid holds such pairs
-    for r in np.arange(5, 61, 5) * 5 * region / 350:
-        k = np.arange(int(2 * region // r) + 2)
-        xs = np.concatenate([k * r, k * (r * (1.0 + 1e-9))]) - region
-        xs = np.concatenate([np.nextafter(xs, -np.inf), xs, np.nextafter(xs, np.inf)])
-        xs = xs[np.abs(xs) <= region]
-        xu = np.concatenate([xs - r, xs + r])
-        xu = xu[np.abs(xu) <= region]
-        a = PointSet(np.column_stack((xu, np.zeros_like(xu))), region)
-        b = PointSet(np.column_stack((xs, np.zeros_like(xs))), region)
+    # labels cycle, so each group's grid holds pairs at exactly the range
+    for a, b, r in bin_edge_layouts(region, np.arange(5, 61, 5) * 5 * region / 350):
         for a_mod, b_mod in ((1, 1), (2, 3), (3, 2)):
             assert_grouped_pairs(a, b, np.full(len(b), r), np.arange(len(a)) % a_mod,
                                  np.arange(len(b)) % b_mod)
