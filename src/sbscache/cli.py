@@ -1,10 +1,10 @@
 """Command-line surface: run a scenario, sweep an axis, inspect intermediates.
 
-Configs are flat ``key = value`` text files with ``#`` comments; any key can
-be overridden on the command line with ``--key value``, except a key that the
-chosen sweep recipe presets; a flag for one form of the coverage range
-replaces the other form in the file. All output is CSV with LF line endings,
-reproducible byte-for-byte from the master seed.
+Configs are flat ``key = value`` text files with ``#`` comments. A flag
+``--key value`` overrides the file's key, except a key that a sweep sets in
+every cell; a flag for one coverage-range form replaces the file's other form.
+All output is CSV with LF line endings, reproducible byte-for-byte from the
+master seed.
 """
 
 from __future__ import annotations
@@ -91,8 +91,6 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Sce
         values[key] = _cast(key, raw_value, f"override --{key}")
     if "n_sbs" not in values:
         raise ConfigError("missing required key 'n_sbs'")
-    if ("sbs_range_min" in values or "sbs_range_max" in values) and "sbs_range" not in values:
-        values["sbs_range"] = None
     cfg = ScenarioConfig(**values)
     try:
         cfg.validate()
@@ -157,19 +155,17 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         if ns.axis or ns.values or ns.policies:
             raise ConfigError("--recipe and explicit --axis/--values/--policies are mutually exclusive")
         axis, values, policies, presets = RECIPES[ns.recipe]
-        if clash := ", ".join(key for key in presets if key in overrides):
-            raise ConfigError(f"recipe {ns.recipe} presets {clash}, which cannot also be given as flags")
     else:
         if not (ns.axis and ns.values and ns.policies):
             raise ConfigError("either --recipe or all of --axis/--values/--policies are required")
-        axis = ns.axis
-        kind, _ = sim.CONFIG_FIELDS[axis]
-        try:
-            values = [kind(v) for v in ns.values.split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError(f"invalid --values list {ns.values!r}") from None
+        axis, presets = ns.axis, {}
+        values = [_cast(axis, v, "--values") for v in ns.values.split(",") if v.strip()]
         policies = [p.strip() for p in ns.policies.split(",") if p.strip()]
-        presets = {}
+    pinned = {axis, "policy", *presets} | {
+        "threshold_mode" for p in policies if sim.POLICY_TOKENS.get(p, (None, None))[1]}
+    if clash := ", ".join(key for key in overrides if key in pinned):
+        sweep = f"recipe {ns.recipe}" if ns.recipe else "the sweep"
+        raise ConfigError(f"{sweep} sets {clash} in every cell, which cannot also be given as flags")
     cfg = dataclasses.replace(parse_config_file(ns.config, overrides), **presets)
     try:
         cells = sim.sweep(cfg, axis, values, policies, workers=ns.workers)

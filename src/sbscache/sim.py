@@ -122,16 +122,16 @@ class ReplicationError(RuntimeError):
 class ScenarioConfig:
     """Experiment inputs. Distances in meters; counts are totals per cell.
 
-    Coverage is either fixed (``sbs_range``) or drawn uniformly per SBS per
-    replication from [sbs_range_min, sbs_range_max]; exactly one form must be
-    set. ``coloring_mode="exact"`` uses the exact solver whenever ``n_sbs``
+    Coverage is either fixed (``sbs_range``, 80 m if no form is given) or drawn
+    uniformly per SBS per replication from [sbs_range_min, sbs_range_max], not
+    both. ``coloring_mode="exact"`` uses the exact solver whenever ``n_sbs``
     fits inside ``coloring.EXACT_SOLVER_LIMIT`` and falls back to the degree
     greedy above it. ``max_matern_iterations=None`` means 10 * n_sbs.
     """
 
     cell_radius: float = 350.0
     n_sbs: int = 48
-    sbs_range: float | None = 80.0
+    sbs_range: float | None = None
     sbs_range_min: float | None = None
     sbs_range_max: float | None = None
     n_users: int = 1000
@@ -148,6 +148,10 @@ class ScenarioConfig:
     master_seed: int = 1
     max_matern_iterations: int | None = None
     survivor_counting: str = "double"
+
+    def __post_init__(self):
+        if self.sbs_range is None and not self.uses_range_interval():
+            self.sbs_range = 80.0
 
     def uses_range_interval(self) -> bool:
         return self.sbs_range_min is not None or self.sbs_range_max is not None

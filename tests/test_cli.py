@@ -2,15 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from sbscache import cli, sim
+from sbscache.classify import SURVIVOR_COUNTINGS
 from sbscache.cli import (
+    CONFIG_KEYS,
     ConfigError,
+    build_parser,
     config_to_text,
     main,
     parse_config_file,
     parse_config_text,
 )
-from sbscache import sim
 from sbscache.sim import ScenarioConfig
 
 BASE_CONFIG = """\
@@ -216,7 +221,7 @@ def test_sweep_recipe_flag(config_path, tmp_path):
     out = tmp_path / "fig3.csv"
     code = main([
         "sweep", config_path, "--recipe", "fig3", "--out", str(out),
-        "--n_users", "40", "--replications", "2", "--n_rounds", "1", "--n_sbs", "4",
+        "--n_users", "40", "--replications", "2", "--n_rounds", "1",
     ])
     assert code == 0
     lines = out.read_text().splitlines()
@@ -280,6 +285,11 @@ def test_sweep_recipe_conflicts_with_axis(config_path, capsys):
     ("fig3", "alpha", "1.2"),
     ("fig4", "n_sbs", "10"),
     ("fig5", "sbs_range_min", "40"),
+    ("fig5", "sbs_range", "60"),
+    ("fig3", "n_sbs", "10"),
+    ("fig4", "alpha", "0.3"),
+    ("fig3", "policy", "baseline"),
+    ("fig5", "threshold_mode", "universal"),
 ])
 def test_sweep_rejects_a_flag_the_recipe_presets(
     config_path, tmp_path, capsys, monkeypatch, recipe, key, raw
@@ -293,6 +303,42 @@ def test_sweep_rejects_a_flag_the_recipe_presets(
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err and recipe in err
     assert ran == [] and not out.exists()
+
+
+@pytest.mark.parametrize("sweep_args, key", [
+    (["--axis", "alpha", "--values", "0.2,0.4", "--policies", "baseline", "--alpha", "0.9"], "alpha"),
+    (["--axis", "n_sbs", "--values", "4", "--policies", "baseline", "--policy", "matern"], "policy"),
+    (["--axis", "n_sbs", "--values", "4", "--policies", "baseline,threshold_universal",
+      "--threshold_mode", "individual"], "threshold_mode"),
+], ids=["axis", "policy", "pinned-mode"])
+def test_sweep_rejects_a_flag_for_a_key_every_cell_sets(
+    config_path, tmp_path, capsys, monkeypatch, sweep_args, key
+):
+    ran = []
+    monkeypatch.setattr(sim, "run_scenario", lambda cfg, workers=1: ran.append(cfg))
+    out = tmp_path / "table.csv"
+    assert main(["sweep", config_path, *sweep_args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"sets {key} in every cell" in err
+    assert ran == [] and not out.exists()
+
+
+def test_sweep_leaves_the_threshold_mode_to_a_flag_when_no_token_pins_it(tmp_path, capsys):
+    path = tmp_path / "interval.cfg"
+    path.write_text(INTERVAL_CONFIG)
+    args = ["sweep", str(path), "--axis", "n_sbs", "--values", "32", "--policies", "threshold"]
+    outputs = []
+    for mode in ([], ["--threshold_mode", "universal"], ["--threshold_mode", "individual"]):
+        assert main([*args, *mode]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[2] != outputs[1]
+
+
+def test_sweep_values_are_cast_like_the_axis_key(config_path, capsys):
+    assert main([
+        "sweep", config_path, "--axis", "alpha", "--values", "0.6,abc", "--policies", "baseline",
+    ]) == 2
+    assert "invalid value 'abc' for key 'alpha'" in capsys.readouterr().err
 
 
 def test_sweep_requires_axis_or_recipe(config_path, capsys):
@@ -436,3 +482,193 @@ def test_workers_below_one_is_a_config_error(config_path, tmp_path, capsys, monk
     captured = capsys.readouterr()
     assert captured.err.startswith("config error:") and "--workers" in captured.err
     assert captured.out == "" and ran == [] and not out.exists()
+
+
+# The range interval by itself, from the Python API: ScenarioConfig owns the
+# 80 m default, so it applies only when neither range form is given.
+
+
+def test_the_range_interval_alone_is_a_valid_config():
+    cfg = ScenarioConfig(n_sbs=4, sbs_range_min=50.0, sbs_range_max=100.0)
+    cfg.validate()
+    assert cfg.sbs_range is None
+    _, ranges = sim.build_network(cfg, sim.replication_seeds(cfg.master_seed, 1)[0])
+    assert ranges.shape == (4,) and np.all((ranges >= 50.0) & (ranges <= 100.0))
+
+
+def test_with_neither_range_form_the_range_is_80_m():
+    assert ScenarioConfig().sbs_range == 80.0
+    assert ScenarioConfig(sbs_range=None).sbs_range == 80.0
+
+
+def test_an_interval_config_from_the_api_runs_as_the_same_file(tmp_path, capsys):
+    cfg = ScenarioConfig(
+        n_sbs=12, sbs_range_min=50.0, sbs_range_max=100.0, n_users=150, file_count=200,
+        memory=20, n_rounds=2, replications=3, master_seed=7, policy="threshold_coloring",
+    )
+    path = tmp_path / "interval.cfg"
+    path.write_text(INTERVAL_CONFIG)
+    assert main(["run", str(path), "--policy", "threshold_coloring"]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row == sim.result_row(cfg.policy, sim.run_scenario(cfg), cfg.master_seed)
+
+
+# Properties over the whole schema, sim.CONFIG_FIELDS. Every key but the two
+# range forms has a strategy of valid values; memory stays within the least
+# file_count drawn, so any mix of these values is valid.
+VALID_VALUES = {
+    "cell_radius": st.floats(0.0, 1e6, exclude_min=True),
+    "n_sbs": st.integers(0, 10**6),
+    "n_users": st.integers(0, 10**6),
+    "file_count": st.integers(50, 10**6),
+    "memory": st.integers(1, 50),
+    "alpha": st.floats(0.0, 1e3),
+    "n_rounds": st.integers(0, 10**6),
+    "requests_per_round": st.integers(0, 10**6),
+    "policy": st.sampled_from(sim.POLICIES),
+    "threshold_mode": st.sampled_from(sim.THRESHOLD_MODES),
+    "coloring_mode": st.sampled_from(sim.COLORING_MODES),
+    "r_class": st.floats(0.0, 1e6, exclude_min=True),
+    "replications": st.integers(1, 10**6),
+    "master_seed": st.integers(0, 2**63),
+    "max_matern_iterations": st.none() | st.integers(1, 10**6),
+    "survivor_counting": st.sampled_from(SURVIVOR_COUNTINGS),
+}
+RANGE_FORMS = (("sbs_range",), ("sbs_range_min", "sbs_range_max"))
+RANGE_VALUES = {
+    "sbs_range": st.floats(0.0, 1e6, exclude_min=True),
+    "sbs_range_min": st.floats(0.0, 50.0, exclude_min=True),
+    "sbs_range_max": st.floats(50.0, 1e6),
+}
+# The text of a valid value, as a file line or a flag gives it.
+VALID_TEXT = {key: values.map(str) for key, values in {**VALID_VALUES, **RANGE_VALUES}.items()}
+VALID_TEXT["policy"] = st.sampled_from(sorted(cli._POLICY_ALIASES))
+VALID_TEXT["max_matern_iterations"] = st.integers(1, 10**6).map(str)
+# Any subset of the keys, each with the text of a valid value. The range keys
+# are drawn as a whole: neither form, one, both, or half the interval.
+RANGE_KEYS = st.sampled_from([(), *RANGE_FORMS, sum(RANGE_FORMS, ()), ("sbs_range_max",)])
+KEY_TEXTS = st.tuples(st.sets(st.sampled_from(sorted(VALID_VALUES))), RANGE_KEYS).flatmap(
+    lambda keys: st.fixed_dictionaries({key: VALID_TEXT[key] for key in (*sorted(keys[0]), *keys[1])})
+)
+
+
+def test_the_strategies_cover_every_config_key():
+    assert sorted({**VALID_VALUES, **RANGE_VALUES}) == sorted(sim.CONFIG_FIELDS)
+
+
+@st.composite
+def api_configs(draw, range_keys=st.sampled_from([(), *RANGE_FORMS])):
+    """Any subset of the keys through the Python API; by default in one range form or neither."""
+    keys = draw(st.sets(st.sampled_from(sorted(VALID_VALUES))))
+    values = {key: draw(VALID_VALUES[key]) for key in sorted(keys)}
+    return ScenarioConfig(**values, **{key: draw(RANGE_VALUES[key]) for key in draw(range_keys)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(api_configs())
+def test_any_valid_config_parses_back_from_its_text(cfg):
+    cfg.validate()
+    assert parse_config_text(config_to_text(cfg)) == cfg
+
+
+@settings(max_examples=20, deadline=None)
+@given(api_configs(range_keys=st.just(sum(RANGE_FORMS, ()))))
+def test_both_range_forms_fail_from_the_api_and_from_a_file(cfg):
+    with pytest.raises(ValueError, match="not both"):
+        cfg.validate()
+    with pytest.raises(ConfigError, match="not both"):
+        parse_config_text(config_to_text(cfg))
+
+
+def _parsed(text, overrides=None):
+    try:
+        return parse_config_text(text, overrides)
+    except ConfigError:
+        return ConfigError
+
+
+def _lines(values):
+    return "".join(f"{key} = {text}\n" for key, text in values.items())
+
+
+@settings(max_examples=80, deadline=None)
+@given(KEY_TEXTS, KEY_TEXTS)
+def test_a_flag_gives_the_config_of_its_line_in_the_file(file_values, flags):
+    file_values.setdefault("n_sbs", "4")
+    ns = build_parser().parse_args(["run", "scenario.cfg", *(f"--{k}={v}" for k, v in flags.items())])
+    got = _parsed(_lines(file_values), cli._collect_overrides(ns))
+    file_forms = {form for form in RANGE_FORMS if file_values.keys() & set(form)}
+    flag_forms = {form for form in RANGE_FORMS if flags.keys() & set(form)}
+    if len(flag_forms) == 1 and len(file_forms) == 1 and file_forms != flag_forms:
+        # a flag for one range form replaces the file's other form
+        (other,) = file_forms
+        file_values = {k: v for k, v in file_values.items() if k not in other}
+    assert got == _parsed(_lines({**file_values, **flags}))
+
+
+def _names_but(valid):
+    return st.text("abcdefghijklmnopqrstuvwxyz_-0123456789", max_size=12).filter(
+        lambda name: name not in valid
+    )
+
+
+NOT_POSITIVE = st.floats(max_value=0.0, allow_infinity=False)
+# Values out of range for BASE_CONFIG (file_count = 200) or, for the
+# interval keys, INTERVAL_CONFIG (sbs_range_min = 50, sbs_range_max = 100).
+OUT_OF_RANGE = {
+    "cell_radius": NOT_POSITIVE,
+    "n_sbs": st.integers(max_value=-1),
+    "sbs_range": NOT_POSITIVE,
+    "sbs_range_min": NOT_POSITIVE | st.floats(100.0, 1e6, exclude_min=True),
+    "sbs_range_max": st.floats(-1e6, 50.0, exclude_max=True),
+    "n_users": st.integers(max_value=-1),
+    "file_count": st.integers(max_value=0),
+    "memory": st.integers(max_value=0) | st.integers(201, 10**6),
+    "alpha": st.floats(-1e6, 0.0, exclude_max=True),
+    "n_rounds": st.integers(max_value=-1),
+    "requests_per_round": st.integers(max_value=-1),
+    "policy": _names_but(sim.POLICY_TOKENS),
+    "threshold_mode": _names_but(sim.THRESHOLD_MODES),
+    "coloring_mode": _names_but(sim.COLORING_MODES),
+    "r_class": NOT_POSITIVE,
+    "replications": st.integers(max_value=0),
+    "master_seed": st.integers(max_value=-1),
+    "max_matern_iterations": st.integers(max_value=0),
+    "survivor_counting": _names_but(SURVIVOR_COUNTINGS),
+}
+# Texts that are not a value of a numeric key's type.
+NOT_A_VALUE = {
+    int: st.floats().map(str) | st.sampled_from(["", "abc", "None", "1e3", "0x10", "4 4"]),
+    float: st.sampled_from(["", "abc", "None", "1,5", "nan", "NaN", "inf", "-inf", "1e999"]),
+    str: st.nothing(),
+}
+
+
+def _command_args(command, path, out, key):
+    if command == "run":
+        return ["run", path]
+    if command == "inspect":
+        return ["inspect", path, "--emit", "coloring", "--out", out]
+    axis, value = ("n_sbs", "4") if key == "alpha" else ("alpha", "0.6")
+    return ["sweep", path, "--axis", axis, "--values", value, "--policies", "baseline", "--out", out]
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_bad_value_for_any_key_is_exit_2_naming_the_key(tmp_path, capsys, monkeypatch, key, data):
+    kind, _ = sim.CONFIG_FIELDS[key]
+    raw = data.draw(OUT_OF_RANGE[key].map(str) | NOT_A_VALUE[kind], label="raw")
+    ran = []
+    monkeypatch.setattr(sim, "run_scenario", lambda cfg, workers=1: ran.append(cfg))
+    monkeypatch.setattr(sim, "build_network", lambda cfg, seed: ran.append(cfg))
+    base = INTERVAL_CONFIG if key in RANGE_FORMS[1] else BASE_CONFIG
+    kept = "".join(line for line in base.splitlines(True) if line.split(" =")[0] != key)
+    path, out = tmp_path / "scenario.cfg", tmp_path / "out.csv"
+    for text, flags in ((f"{kept}{key} = {raw}\n", []), (base, [f"--{key}={raw}"])):
+        path.write_text(text)
+        for command in ("run", "sweep", "inspect"):
+            assert main([*_command_args(command, str(path), str(out), key), *flags]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("config error:") and key in captured.err
+            assert captured.out == "" and ran == [] and not out.exists()
