@@ -24,7 +24,7 @@ from .netgraph import (
     universal_threshold,
 )
 from .placement import Placement, place_by_coloring, place_most_popular, placement_matrix
-from .popularity import Catalog, top_mass, zipf_pmf
+from .popularity import Catalog
 from .sim import (
     ReplicationError,
     ScenarioConfig,

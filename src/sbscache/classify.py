@@ -21,8 +21,6 @@ import numpy as np
 from .geometry import PointSet, pair_distances, pairs_within
 from .netgraph import SimpleGraph
 
-SURVIVOR_COUNTINGS = ("double", "single")
-
 # perfbench/spans.py times the station pair kernel as ``classify.distance_matrix``.
 distance_matrix = pairs_within
 
@@ -102,35 +100,26 @@ def _fresh_marks(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def classify_and_weigh(
-    sbs: PointSet,
-    r_class: float,
-    seed,
-    max_iterations: int | None = None,
-    survivor_counting: str = "double",
+    sbs: PointSet, r_class: float, seed, max_iterations: int | None = None
 ) -> ClassWeights:
     """Build classes by distance and accumulate weights until all are positive.
 
     One pair-kernel call gives the station pairs within 2 * r_class: the
     edges of both thinnings' hard-core graph. The classes are the pairs
     among them within r_class, by the kernel's own distance formula, so
-    they are exactly the kernel's pairs at r_class. Every
-    survivor bumps the weight of every member of its class: a class's
-    credit is the number of survivors among its members. The type-I
-    survivors depend on geometry only, so their credit is counted once and
-    earned every iteration; each iteration adds the credit of the type-II
-    survivors under fresh marks. With ``survivor_counting="double"``
-    (default) a station appearing in both survivor sets triggers one
-    increment pass per set; ``"single"`` counts the union once, for
-    sensitivity checks, so its type-II credit leaves out the type-I
-    survivors.
+    they are exactly the kernel's pairs at r_class. Every survivor bumps
+    the weight of every member of its class: a class's credit is the
+    number of survivors among its members. The type-I survivors depend on
+    geometry only, so their credit is counted once and earned every
+    iteration; each iteration adds the credit of the type-II survivors
+    under fresh marks. A station in both survivor sets credits its class
+    twice, once per set.
 
     Raises ConvergenceError, reporting the still-zero indices, if the budget
     (default 10 * station count) runs out first.
     """
     if not r_class > 0:
         raise ValueError("r_class must be positive")
-    if survivor_counting not in SURVIVOR_COUNTINGS:
-        raise ValueError(f"survivor_counting must be one of {SURVIVOR_COUNTINGS}")
     n = len(sbs)
     if max_iterations is None:
         max_iterations = 10 * max(n, 1)
@@ -150,14 +139,11 @@ def classify_and_weigh(
     survives_i = np.zeros(n, dtype=bool)
     survives_i[matern_type_i(near)] = True
     credit_i = np.bincount(cj[survives_i[ci]], minlength=n)
-    # "single" counts the union of both sets once; that union is the type-II
-    # set, which holds every type-I survivor, so type II credits the others
-    counted = ~survives_i[ci] if survivor_counting == "single" else np.ones(ci.size, dtype=bool)
     credit_ii = np.zeros(n, dtype=int)
     for iteration in range(1, max_iterations + 1):
         survives_ii = np.zeros(n, dtype=bool)
         survives_ii[matern_type_ii(near, _fresh_marks(rng, n))] = True
-        credit_ii += np.bincount(cj[survives_ii[ci] & counted], minlength=n)
+        credit_ii += np.bincount(cj[survives_ii[ci]], minlength=n)
         weights = iteration * credit_i + credit_ii
         if np.all(weights > 0):
             return ClassWeights(classes, weights, iteration)

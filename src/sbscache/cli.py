@@ -2,7 +2,9 @@
 
 Configs are flat ``key = value`` text files with ``#`` comments. A flag
 ``--key value`` overrides the file's key, except a key that a sweep sets in
-every cell; a flag for one coverage-range form replaces the file's other form.
+every cell and ``--policy`` under ``inspect --emit classes``, which always
+shows the Matern classes; a flag for one coverage-range form replaces the
+file's other form.
 All output is CSV with LF line endings, reproducible byte-for-byte from the
 master seed.
 """
@@ -53,6 +55,9 @@ def _cast(key: str, raw: str, where: str):
         return _POLICY_ALIASES.get(raw, raw)
     kind, _ = sim.CONFIG_FIELDS[key]
     try:
+        # int() and float() would also read digit separators and non-ASCII digits
+        if kind is not str and ("_" in raw or not raw.isascii()):
+            raise ValueError
         return kind(raw)
     except ValueError:
         raise ConfigError(f"{where}: invalid value {raw!r} for key '{key}'") from None
@@ -187,10 +192,13 @@ EMITS = {
 
 
 def cmd_inspect(ns: argparse.Namespace) -> int:
-    cfg = parse_config_file(ns.config, _collect_overrides(ns))
+    overrides = _collect_overrides(ns)
+    if ns.emit == "classes" and "policy" in overrides:
+        raise ConfigError("--emit classes always shows matern_coloring, so --policy cannot be given")
+    cfg = parse_config_file(ns.config, overrides)
     if ns.emit == "classes":
         # only the Matern pipeline builds classes; it draws the same marks
-        # whatever policy the config names
+        # whatever policy the config file names
         cfg = dataclasses.replace(cfg, policy="matern_coloring")
     seed0 = sim.replication_seeds(cfg.master_seed, 1)[0]
     field, to_text = EMITS[ns.emit]

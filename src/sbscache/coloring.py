@@ -16,7 +16,7 @@ import numpy as np
 from .netgraph import SimpleGraph
 
 # Minimum coloring is NP-hard; the exact solver refuses instances above this
-# size unless the caller raises the limit explicitly.
+# size, and ``coloring_mode = exact`` falls back to the degree greedy there.
 EXACT_SOLVER_LIMIT = 25
 
 
@@ -142,16 +142,17 @@ def _k_colorable(adj: list[int], order: list[int], k: int) -> list[int] | None:
     return assignment if solve(0, 0) else None
 
 
-def exact_min_coloring(g: SimpleGraph, limit: int = EXACT_SOLVER_LIMIT) -> Coloring:
+def exact_min_coloring(g: SimpleGraph) -> Coloring:
     """A proper coloring with the minimum possible number of colors.
 
     Branch-and-bound backtracking over color classes, run per connected
     component: k-colorability is searched upward from a greedy-clique lower
     bound, so the returned k is certified optimal by the exhausted search at
-    k - 1 (or by the clique when it already meets k).
+    k - 1 (or by the clique when it already meets k). Raises CapacityError
+    above ``EXACT_SOLVER_LIMIT`` vertices.
     """
-    if g.n > limit:
-        raise CapacityError(f"exact solver limited to {limit} vertices, got {g.n}")
+    if g.n > EXACT_SOLVER_LIMIT:
+        raise CapacityError(f"exact solver limited to {EXACT_SOLVER_LIMIT} vertices, got {g.n}")
     colors = np.zeros(g.n, dtype=int)
     adj = _adjacency_bits(g)
     deg = g.degrees()

@@ -60,8 +60,8 @@ class SimpleGraph:
 
     @property
     def adjacency(self) -> np.ndarray:
-        """Dense boolean n x n adjacency, built on each call for the tests' oracles and
-        perfbench's edge count; it goes once perfbench counts edges from ``indices``."""
+        """Dense boolean n x n adjacency, built on each call. perfbench's edge count is its
+        only reader; it goes once perfbench counts edges from ``indices``."""
         adj = np.zeros((self.n, self.n), dtype=bool)
         adj[np.repeat(np.arange(self.n), self.degrees()), self.indices] = True
         return adj

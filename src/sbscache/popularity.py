@@ -1,4 +1,4 @@
-"""Zipf file popularity over a ranked catalog, and request sampling."""
+"""Zipf file popularity over a ranked catalog, and request sampling by inverse CDF."""
 
 from __future__ import annotations
 
@@ -16,16 +16,15 @@ GUIDE_BINS_PER_FILE = 4
 class Catalog:
     """Ranked file catalog; rank 1 is the most popular file.
 
-    The probability of rank f is f^(-alpha) / sum_i i^(-alpha). The pmf, its
-    cumulative table and the guide table through which sampling inverts it
-    (Chen & Asau, 1974) are built with the catalog and never written
-    afterwards, so one catalog serves every replication of a scenario, on
-    any number of threads.
+    The probability of rank f is f^(-alpha) / sum_i i^(-alpha). The catalog
+    keeps only the cumulative table of that pmf and the guide table through
+    which sampling inverts it (Chen & Asau, 1974). Both are built with the
+    catalog and never written afterwards, so one catalog serves every
+    replication of a scenario, on any number of threads.
     """
 
     file_count: int
     alpha: float
-    _pmf: np.ndarray = field(init=False, repr=False, compare=False)
     _cdf: np.ndarray = field(init=False, repr=False, compare=False)
     _guide: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -36,8 +35,7 @@ class Catalog:
             raise ValueError("alpha must be non-negative")
         ranks = np.arange(1, self.file_count + 1, dtype=float)
         weights = ranks ** (-float(self.alpha))
-        self._pmf = weights / weights.sum()
-        cdf = np.cumsum(self._pmf)
+        cdf = np.cumsum(weights / weights.sum())
         # guide[b] counts the cdf entries in bins 0..b-2 of T = guide.size - 1.
         # A uniform u in bin b = floor(u * T) lies above every entry of bins
         # below b - 1, whatever the rounding of u * T, so guide[b] never
@@ -48,20 +46,6 @@ class Catalog:
         self._guide = np.zeros(t + 1, dtype=np.intp)
         np.cumsum(np.bincount(bins, minlength=t + 1)[: t - 1], out=self._guide[2:])
         self._cdf = np.append(cdf, np.inf)
-
-
-def zipf_pmf(catalog: Catalog, rank: int) -> float:
-    """Probability that a request asks for the file of the given rank."""
-    if not 1 <= rank <= catalog.file_count:
-        raise ValueError(f"rank must be in 1..{catalog.file_count}, got {rank}")
-    return float(catalog._pmf[rank - 1])
-
-
-def top_mass(catalog: Catalog, k: int) -> float:
-    """Total request probability carried by the k most popular files."""
-    if not 0 <= k <= catalog.file_count:
-        raise ValueError(f"k must be in 0..{catalog.file_count}, got {k}")
-    return float(catalog._pmf[:k].sum())
 
 
 def sample_requests(catalog: Catalog, size: int, rng) -> np.ndarray:

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import SURVIVOR_COUNTINGS, ClassWeights, classify_and_weigh
+from .classify import ClassWeights, classify_and_weigh
 from .coloring import (
     EXACT_SOLVER_LIMIT,
     Coloring,
@@ -147,7 +147,6 @@ class ScenarioConfig:
     replications: int = 20
     master_seed: int = 1
     max_matern_iterations: int | None = None
-    survivor_counting: str = "double"
 
     def __post_init__(self):
         if self.sbs_range is None and not self.uses_range_interval():
@@ -190,8 +189,6 @@ class ScenarioConfig:
             raise ValueError(f"threshold_mode must be one of {THRESHOLD_MODES}")
         if self.coloring_mode not in COLORING_MODES:
             raise ValueError(f"coloring_mode must be one of {COLORING_MODES}")
-        if self.survivor_counting not in SURVIVOR_COUNTINGS:
-            raise ValueError(f"survivor_counting must be one of {SURVIVOR_COUNTINGS}")
         if not self.r_class > 0:
             raise ValueError("r_class must be positive")
         if self.max_matern_iterations is not None and self.max_matern_iterations < 1:
@@ -357,11 +354,7 @@ def build_policy_artifacts(
 
     # matern_coloring
     cw = classify_and_weigh(
-        sbs,
-        cfg.r_class,
-        _stream(rep_seed, 2),
-        max_iterations=cfg.max_matern_iterations,
-        survivor_counting=cfg.survivor_counting,
+        sbs, cfg.r_class, _stream(rep_seed, 2), max_iterations=cfg.max_matern_iterations
     )
     graph = build_class_graph(cw.classes, n)
     coloring = greedy_color_by_weight(graph, cw.weights)

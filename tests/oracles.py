@@ -5,8 +5,11 @@ dense n x m matrix instead of the sparse pair kernel, chromatic numbers from
 exhaustive enumeration of canonical colorings, clique / independent-set
 sizes from full subset scans, cache blocks from a rank-by-rank loop, per-user
 delivery from set unions, Matern thinnings and class weights from dense
-neighbour matrices and a survivor-by-member loop, and expected hit rates from
-integrating over a grid of the cell instead of drawing users and requests.
+neighbour matrices and a survivor-by-member loop, Zipf probabilities and
+head masses from their own table, and expected hit rates from integrating
+over a grid of the cell instead of drawing users and requests. The
+baseline's hit rate also has a closed form, one integral over the user's
+radius of the chance that some station covers it, with no network drawn.
 The class weights' marks come from the production seed through a copy of
 the resample loop, so both sides see the same marks. The exception is the
 pruned clique search, which reads the exact solver's bit-packed adjacency
@@ -67,8 +70,17 @@ def class_matrix(classes: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
     return m
 
 
+def dense_adjacency(g: SimpleGraph) -> np.ndarray:
+    """Dense boolean n x n adjacency matrix, from the graph's edge list."""
+    adj = np.zeros((g.n, g.n), dtype=bool)
+    i, j = np.array(g.edges(), dtype=np.intp).reshape(-1, 2).T
+    adj[i, j] = adj[j, i] = True
+    return adj
+
+
 def adjacency_sets(g: SimpleGraph) -> list[set[int]]:
-    return [set(np.flatnonzero(g.adjacency[v]).tolist()) for v in range(g.n)]
+    adj = dense_adjacency(g)
+    return [set(np.flatnonzero(adj[v]).tolist()) for v in range(g.n)]
 
 
 def chromatic_number_enumeration(g: SimpleGraph) -> int:
@@ -104,10 +116,11 @@ def chromatic_number_enumeration(g: SimpleGraph) -> int:
 
 def clique_number_enumeration(g: SimpleGraph) -> int:
     """omega(G) by scanning all vertex subsets."""
+    adj = dense_adjacency(g)
     best = 0
     for size in range(1, g.n + 1):
         for subset in itertools.combinations(range(g.n), size):
-            if all(g.adjacency[a, b] for a, b in itertools.combinations(subset, 2)):
+            if all(adj[a, b] for a, b in itertools.combinations(subset, 2)):
                 best = size
                 break
     return best
@@ -115,10 +128,11 @@ def clique_number_enumeration(g: SimpleGraph) -> int:
 
 def independence_number_enumeration(g: SimpleGraph) -> int:
     """alpha(G) by scanning all vertex subsets."""
+    adj = dense_adjacency(g)
     best = 0
     for size in range(1, g.n + 1):
         for subset in itertools.combinations(range(g.n), size):
-            if not any(g.adjacency[a, b] for a, b in itertools.combinations(subset, 2)):
+            if not any(adj[a, b] for a, b in itertools.combinations(subset, 2)):
                 best = size
                 break
     return best
@@ -129,7 +143,7 @@ def is_proper(g: SimpleGraph, c: Coloring) -> bool:
     if len(c) != g.n:
         raise ValueError("coloring must cover every vertex")
     same = c.colors[:, None] == c.colors[None, :]
-    return not np.any(same & g.adjacency)
+    return not np.any(same & dense_adjacency(g))
 
 
 def max_degree(g: SimpleGraph) -> int:
@@ -164,7 +178,7 @@ def independence_number(g: SimpleGraph, limit: int = EXACT_SOLVER_LIMIT) -> int:
     """Exact alpha(G): the clique number of the complement graph."""
     if g.n > limit:
         raise CapacityError(f"independence oracle limited to {limit} vertices, got {g.n}")
-    comp = ~g.adjacency
+    comp = ~dense_adjacency(g)
     np.fill_diagonal(comp, False)
     return clique_number(graph_from_matrix(comp), limit)
 
@@ -259,12 +273,13 @@ def matern_reference(near: np.ndarray, marks: np.ndarray) -> tuple[list[int], li
 
 
 def class_weights_reference(
-    pts: PointSet, r_class: float, seed, counting: str = "double", max_iterations: int | None = None
+    pts: PointSet, r_class: float, seed, max_iterations: int | None = None
 ) -> tuple[tuple[frozenset[int], ...], list[int], int]:
     """Proximity classes as per-station sets, and weights from a survivor-by-member loop.
 
     Classes and hard-core neighbours (at 2 * r_class) come from the dense
-    distance matrix, and both thinnings from ``matern_reference``. Marks
+    distance matrix, and both thinnings from ``matern_reference``; a station
+    in both survivor lists credits its class once per list. Marks
     come from ``fresh_marks_reference`` on the production seed, so that
     every iteration sees the same marks. Returns (classes, weights,
     iterations_used); raises RuntimeError if the budget runs out.
@@ -279,11 +294,7 @@ def class_weights_reference(
     rng = np.random.default_rng(seed)
     for iteration in range(1, (max_iterations or 10 * n) + 1):
         survivors_i, survivors_ii = matern_reference(near, fresh_marks_reference(rng, n))
-        if counting == "double":
-            passes = survivors_i + survivors_ii
-        else:
-            passes = sorted(set(survivors_i) | set(survivors_ii))
-        for i in passes:
+        for i in survivors_i + survivors_ii:
             for j in classes[i]:
                 weights[j] += 1
         if all(w > 0 for w in weights):
@@ -316,6 +327,57 @@ def zipf_pmf_table(file_count: int, alpha: float) -> np.ndarray:
     """Zipf probabilities of ranks 1..file_count, as one array."""
     weights = np.arange(1, file_count + 1, dtype=float) ** (-float(alpha))
     return weights / weights.sum()
+
+
+def zipf_pmf(catalog: Catalog, rank: int) -> float:
+    """Probability that a request to the catalog asks for the file of the given rank."""
+    if not 1 <= rank <= catalog.file_count:
+        raise ValueError(f"rank must be in 1..{catalog.file_count}, got {rank}")
+    return float(zipf_pmf_table(catalog.file_count, catalog.alpha)[rank - 1])
+
+
+def top_mass(catalog: Catalog, k: int) -> float:
+    """Total request probability carried by the k most popular files of the catalog."""
+    if not 0 <= k <= catalog.file_count:
+        raise ValueError(f"k must be in 0..{catalog.file_count}, got {k}")
+    return float(zipf_pmf_table(catalog.file_count, catalog.alpha)[:k].sum())
+
+
+def lens_area(a: float, b: float, d: np.ndarray) -> np.ndarray:
+    """Area shared by two disks of radii ``a`` and ``b`` whose centres are ``d`` apart."""
+    d = np.asarray(d, dtype=float)
+    area = np.where(d <= abs(a - b), math.pi * min(a, b) ** 2, 0.0)
+    part = (d > abs(a - b)) & (d < a + b)
+    x = d[part]
+    cos_a = np.clip((x * x + a * a - b * b) / (2.0 * x * a), -1.0, 1.0)
+    cos_b = np.clip((x * x + b * b - a * a) / (2.0 * x * b), -1.0, 1.0)
+    kite = np.sqrt(np.maximum((a + b - x) * (x + a - b) * (x - a + b) * (x + a + b), 0.0))
+    area[part] = a * a * np.arccos(cos_a) + b * b * np.arccos(cos_b) - 0.5 * kite
+    return area
+
+
+def baseline_hit_closed_form(cfg: ScenarioConfig) -> float:
+    """Expected hit rate of the baseline policy, by one integral over the user's radius.
+
+    Every station caches the ``memory`` most popular files, so a request hits
+    iff its rank is in that head and some station covers its user. One
+    station, uniform in the cell, covers a user at distance rho from the
+    centre with probability p(rho): the area of the lens of the cell and the
+    user's coverage disk, over the cell's area. The n stations are drawn
+    independently, and rho has density 2 rho / R_c^2 for a user uniform in
+    the cell, so the hit rate is top_mass(M) times the integral over
+    [0, R_c] of (1 - (1 - p)^n) 2 rho / R_c^2. The integral is a trapezoid
+    sum written out, since numpy's trapezoid function has changed name
+    across the versions the package supports.
+    """
+    if cfg.uses_range_interval():
+        raise ValueError("the closed form needs one fixed sbs_range")
+    rc = cfg.cell_radius
+    rho = np.linspace(0.0, rc, 20001)  # 10x as many points moves the result by < 1e-9
+    p = lens_area(rc, cfg.sbs_range, rho) / (math.pi * rc * rc)
+    f = (1.0 - (1.0 - p) ** cfg.n_sbs) * 2.0 * rho / (rc * rc)
+    covered = float(np.sum((f[1:] + f[:-1]) * np.diff(rho)) / 2.0)
+    return float(zipf_pmf_table(cfg.file_count, cfg.alpha)[: cfg.memory].sum()) * covered
 
 
 def grid_coverage(

@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sbscache import cli, sim
-from sbscache.classify import SURVIVOR_COUNTINGS
 from sbscache.cli import (
     CONFIG_KEYS,
     ConfigError,
@@ -61,6 +60,9 @@ def test_missing_required_key_is_named():
 def test_unknown_key_names_line():
     with pytest.raises(ConfigError, match="line 2.*warp_factor"):
         parse_config_text("n_sbs = 4\nwarp_factor = 9\n")
+    # survivor_counting chose a second Matern weighting rule, since deleted
+    with pytest.raises(ConfigError, match="line 2: unknown key 'survivor_counting'"):
+        parse_config_text("n_sbs = 4\nsurvivor_counting = double\n")
 
 
 def test_malformed_value_names_line_and_key():
@@ -532,7 +534,6 @@ VALID_VALUES = {
     "replications": st.integers(1, 10**6),
     "master_seed": st.integers(0, 2**63),
     "max_matern_iterations": st.none() | st.integers(1, 10**6),
-    "survivor_counting": st.sampled_from(SURVIVOR_COUNTINGS),
 }
 RANGE_FORMS = (("sbs_range",), ("sbs_range_min", "sbs_range_max"))
 RANGE_VALUES = {
@@ -634,7 +635,6 @@ OUT_OF_RANGE = {
     "replications": st.integers(max_value=0),
     "master_seed": st.integers(max_value=-1),
     "max_matern_iterations": st.integers(max_value=0),
-    "survivor_counting": _names_but(SURVIVOR_COUNTINGS),
 }
 # Texts that are not a value of a numeric key's type.
 NOT_A_VALUE = {
@@ -659,6 +659,19 @@ def _command_args(command, path, out, key):
 def test_a_bad_value_for_any_key_is_exit_2_naming_the_key(tmp_path, capsys, monkeypatch, key, data):
     kind, _ = sim.CONFIG_FIELDS[key]
     raw = data.draw(OUT_OF_RANGE[key].map(str) | NOT_A_VALUE[kind], label="raw")
+    _assert_rejected_everywhere(tmp_path, capsys, monkeypatch, key, raw)
+
+
+# int() and float() read these as 64, and 64 is a valid value of every numeric key
+@pytest.mark.parametrize("raw", ["6_4", "\uff16\uff14", "\u0666\u0664"],
+                         ids=["separator", "full-width", "arabic-indic"])
+@pytest.mark.parametrize("key", [key for key, (kind, _) in sim.CONFIG_FIELDS.items() if kind is not str])
+def test_digit_separators_and_non_ascii_digits_are_bad_values(tmp_path, capsys, monkeypatch, key, raw):
+    _assert_rejected_everywhere(tmp_path, capsys, monkeypatch, key, raw)
+
+
+def _assert_rejected_everywhere(tmp_path, capsys, monkeypatch, key, raw):
+    """``raw`` for ``key``, in a file and in a flag, exits 2 naming the key under every command."""
     ran = []
     monkeypatch.setattr(sim, "run_scenario", lambda cfg, workers=1: ran.append(cfg))
     monkeypatch.setattr(sim, "build_network", lambda cfg, seed: ran.append(cfg))
@@ -666,9 +679,23 @@ def test_a_bad_value_for_any_key_is_exit_2_naming_the_key(tmp_path, capsys, monk
     kept = "".join(line for line in base.splitlines(True) if line.split(" =")[0] != key)
     path, out = tmp_path / "scenario.cfg", tmp_path / "out.csv"
     for text, flags in ((f"{kept}{key} = {raw}\n", []), (base, [f"--{key}={raw}"])):
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         for command in ("run", "sweep", "inspect"):
             assert main([*_command_args(command, str(path), str(out), key), *flags]) == 2
             captured = capsys.readouterr()
             assert captured.err.startswith("config error:") and key in captured.err
             assert captured.out == "" and ran == [] and not out.exists()
+
+
+def test_inspect_classes_rejects_a_policy_flag(tmp_path, capsys):
+    path = tmp_path / "cls.cfg"
+    path.write_text("n_sbs = 10\npolicy = baseline\nmaster_seed = 13\n")
+    out = tmp_path / "classes.csv"
+    args = ["inspect", str(path), "--emit", "classes", "--out", str(out)]
+    assert main([*args, "--policy", "baseline"]) == 2
+    assert "--policy" in capsys.readouterr().err and not out.exists()
+    # a file's policy line is still replaced by matern_coloring
+    assert main(args) == 0
+    path.write_text("n_sbs = 10\npolicy = matern_coloring\nmaster_seed = 13\n")
+    assert main([*args[:-1], str(tmp_path / "matern.csv")]) == 0
+    assert out.read_bytes() == (tmp_path / "matern.csv").read_bytes()

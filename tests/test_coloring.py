@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbscache.coloring import (
+    EXACT_SOLVER_LIMIT,
     CapacityError,
     Coloring,
     coloring_to_csv,
@@ -19,6 +20,7 @@ from oracles import (
     chromatic_number_enumeration,
     clique_number,
     clique_number_enumeration,
+    dense_adjacency,
     graph_from_edges,
     graph_from_matrix,
     independence_number,
@@ -128,9 +130,8 @@ def test_exact_matches_enumeration_on_random_graphs():
 
 def test_exact_respects_capacity_limit():
     with pytest.raises(CapacityError):
-        exact_min_coloring(edgeless(26))
-    # configurable limit admits larger instances
-    assert exact_min_coloring(edgeless(26), limit=30).k == 1
+        exact_min_coloring(edgeless(EXACT_SOLVER_LIMIT + 1))
+    assert exact_min_coloring(edgeless(EXACT_SOLVER_LIMIT)).k == 1
 
 
 def test_bounds_complete_graph():
@@ -191,7 +192,7 @@ def test_exact_k_within_classical_bounds(g):
 @settings(max_examples=80, deadline=None)
 def test_exact_k_invariant_under_relabeling(g, seed):
     perm = np.random.default_rng(seed).permutation(g.n)
-    relabeled = graph_from_matrix(g.adjacency[np.ix_(perm, perm)])
+    relabeled = graph_from_matrix(dense_adjacency(g)[np.ix_(perm, perm)])
     assert exact_min_coloring(relabeled).k == exact_min_coloring(g).k
 
 

@@ -40,7 +40,6 @@ CASES = {
     "threshold_greedy_dense": {"policy": "threshold_coloring", **DENSE},
     "threshold_exact_dense": {"policy": "threshold_coloring", "coloring_mode": "exact", **DENSE},
     "matern_double": {"policy": "matern_coloring", "r_class": 60.0},
-    "matern_single": {"policy": "matern_coloring", "r_class": 60.0, "survivor_counting": "single"},
     "requests_per_round_3": {"policy": "matern_coloring", "requests_per_round": 3},
     "wrap_threshold": {"policy": "threshold_coloring", **WRAP},
     "wrap_matern": {"policy": "matern_coloring", **WRAP},
@@ -62,7 +61,6 @@ INSPECTS = {
     "threshold_greedy_dense": ("coloring",),
     "threshold_exact_dense": ("graph", "coloring", "placement"),
     "matern_double": ("graph", "coloring", "placement", "classes"),
-    "matern_single": ("classes",),
     "baseline": ("placement",),
     "wrap_threshold": ("coloring", "placement"),
     "wrap_matern": ("placement", "classes"),
@@ -125,10 +123,6 @@ GOLDEN_REPLICATIONS = {
         ['0x1.6666666666666p-3', '0x1.6c16c16c16c17p-3', '0x1.999999999999ap-3', '0x1.4fa4fa4fa4fa5p-3'],
         [2, 2, 2, 2],
     ),
-    'matern_single': (
-        ['0x1.6666666666666p-3', '0x1.6c16c16c16c17p-3', '0x1.999999999999ap-3', '0x1.4fa4fa4fa4fa5p-3'],
-        [2, 2, 2, 2],
-    ),
     'requests_per_round_3': (
         ['0x1.3333333333333p-3', '0x1.8888888888889p-3', '0x1.9b7f0d4629b7fp-3', '0x1.6480f2b9d6481p-3'],
         [2, 2, 2, 3],
@@ -176,7 +170,6 @@ GOLDEN_INSPECTS = {
     ('matern_double', 'coloring'): '7adc79dd956ad0abf93fa8aff8623e309f9e5f38f08b062bfbed56d68f0a5f48',
     ('matern_double', 'placement'): '33c769ec4ee2cc18c01135e71b95dccb2e0b5d6d858b6bdf92f6c8d08a6f945a',
     ('matern_double', 'classes'): 'd2b609de89c4e5dfd6fb7dfcbcbdcda0e65e9e341e44712a520200b616dccbeb',
-    ('matern_single', 'classes'): '5ca91da2a0d857feea6aec4a9eb55f8dbf8daa63b43fbaff926fbee0b641d5af',
     ('baseline', 'placement'): '89223a62afcc01e8aaaafa00786ed64dbb4b5a60a0bec4963d040b7d3a26197b',
     ('wrap_threshold', 'coloring'): '631f78c2660a853b0145d638b20cb737af4b652ecefb5b5ed9805617e12ecd4f',
     ('wrap_threshold', 'placement'): '889b5f46fc153e781123ce31b1d75818f2ef31c8dfc5d836b31a3a9320d0e285',

@@ -21,7 +21,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sbscache.classify import SURVIVOR_COUNTINGS, classify_and_weigh
+from sbscache.classify import classify_and_weigh
 from sbscache.geometry import PointSet, pairs_within, sample_binomial_disk
 from sbscache.netgraph import (
     individual_thresholds,
@@ -64,7 +64,6 @@ def configs(draw):
         requests_per_round=draw(st.integers(1, 3)),
         threshold_mode=draw(st.sampled_from(THRESHOLD_MODES)),
         coloring_mode=draw(st.sampled_from(COLORING_MODES)),
-        survivor_counting=draw(st.sampled_from(SURVIVOR_COUNTINGS)),
         r_class=draw(st.floats(10.0, 150.0)),
         replications=draw(st.integers(1, 3)),
         master_seed=draw(SEEDS),

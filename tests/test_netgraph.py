@@ -23,6 +23,7 @@ from oracles import (
     access_matrix,
     build_access_map,
     build_delivery_map,
+    dense_adjacency,
     distance_matrix,
     random_simple_graph,
 )
@@ -73,8 +74,8 @@ def test_individual_thresholds_symmetric():
     sbs = sample_binomial_disk(12, 150.0, seed=3)
     ranges = np.round(rng.uniform(50, 100, 12), -1)  # ties on purpose
     perm = rng.permutation(12)
-    g = threshold_graph(sbs, ranges).adjacency
-    relabeled = threshold_graph(PointSet(sbs.xy[perm], 150.0), ranges[perm]).adjacency
+    g = dense_adjacency(threshold_graph(sbs, ranges))
+    relabeled = dense_adjacency(threshold_graph(PointSet(sbs.xy[perm], 150.0), ranges[perm]))
     assert np.array_equal(relabeled, g[np.ix_(perm, perm)])
 
 
@@ -111,24 +112,24 @@ def test_range_readers_reject_a_non_positive_range(reader, bad):
 
 
 def test_threshold_graph_far_apart_no_edge():
-    assert not threshold_graph(ptset([(0, 0), (200, 0)]), 80.0).adjacency[0, 1]
+    assert threshold_graph(ptset([(0, 0), (200, 0)]), 80.0).edges() == []
 
 
 def test_threshold_graph_nearby_edge():
-    assert threshold_graph(ptset([(0, 0), (60, 0)]), 80.0).adjacency[0, 1]
+    assert threshold_graph(ptset([(0, 0), (60, 0)]), 80.0).edges() == [(0, 1)]
 
 
 def test_threshold_graph_boundary_inclusive():
-    assert threshold_graph(ptset([(0, 0), (80, 0)]), 80.0).adjacency[0, 1]
+    assert threshold_graph(ptset([(0, 0), (80, 0)]), 80.0).edges() == [(0, 1)]
 
 
 def test_threshold_graph_matches_brute_force_at_cell_scale():
     sbs = sample_binomial_disk(48, 350.0, seed=6)
-    g = threshold_graph(sbs, 80.0)
+    adj = dense_adjacency(threshold_graph(sbs, 80.0))
     for i in range(48):
         for j in range(48):
             d = float(np.hypot(*(sbs.xy[i] - sbs.xy[j])))
-            assert g.adjacency[i, j] == (i != j and d <= 80.0)
+            assert adj[i, j] == (i != j and d <= 80.0)
 
 
 def test_universal_edges_subset_of_individual_edges():
@@ -136,7 +137,7 @@ def test_universal_edges_subset_of_individual_edges():
     ranges = np.random.default_rng(8).uniform(50, 100, 30)
     g_uni = threshold_graph(sbs, universal_threshold(ranges))
     g_ind = threshold_graph(sbs, individual_thresholds(ranges))
-    assert np.all(~g_uni.adjacency | g_ind.adjacency)
+    assert set(g_uni.edges()) <= set(g_ind.edges())
 
 
 @st.composite
@@ -182,7 +183,7 @@ def test_conflict_graph_is_the_dense_threshold(inputs):
         expected["universal"] = (r.min(), d <= r.min())
     for mode, (thresholds, dense) in expected.items():
         g = threshold_graph(sbs, thresholds)
-        assert np.array_equal(g.adjacency, dense & off), mode
+        assert np.array_equal(dense_adjacency(g), dense & off), mode
         assert g.degrees().sum() == 2 * len(g.edges())  # no edge twice
 
 

@@ -1,13 +1,23 @@
-"""Checks of the expected-hit oracle that acceptance criteria 6 and 7 rely on."""
+"""Checks of the expected-hit oracle that acceptance criteria 6 and 7 rely on, and of the
+baseline closed form against the fig3 sweep."""
 
+import dataclasses
 import math
 
 import pytest
 
-from sbscache.popularity import Catalog, top_mass
-from sbscache.sim import POLICIES, ScenarioConfig, replication_seeds
+from sbscache.popularity import Catalog
+from sbscache.sim import POLICIES, ScenarioConfig, replication_seeds, sweep
 
-from oracles import expected_hit_oracle, grid_coverage, reachable_files, zipf_pmf_table
+from oracles import (
+    baseline_hit_closed_form,
+    expected_hit_oracle,
+    grid_coverage,
+    lens_area,
+    reachable_files,
+    top_mass,
+    zipf_pmf_table,
+)
 
 
 def test_one_station_covering_the_cell_serves_the_top_block():
@@ -57,3 +67,28 @@ def test_ceiling_bounds_every_policy(cfg):
         for (policy, a), hit in hits.items():
             # both sides are float sums over the same grid; allow their rounding
             assert 0.0 < hit <= ceilings[a] + 1e-12, (policy, a)
+
+
+def test_lens_area_limits():
+    # a disk inside the other, disjoint disks, and two unit disks 1 apart
+    assert lens_area(350.0, 80.0, [0.0, 270.0]).tolist() == [math.pi * 80.0**2] * 2
+    assert lens_area(350.0, 80.0, [430.0, 500.0]).tolist() == [0.0, 0.0]
+    assert lens_area(1.0, 1.0, [1.0])[0] == pytest.approx(2 * math.pi / 3 - math.sqrt(3) / 2)
+
+
+def test_baseline_closed_form_under_full_coverage_is_the_head_mass():
+    # a 700 m range reaches every point of a 350 m cell from anywhere inside it
+    cfg = ScenarioConfig(n_sbs=1, sbs_range=700.0, file_count=1000, memory=50, alpha=0.6)
+    assert baseline_hit_closed_form(cfg) == pytest.approx(top_mass(Catalog(1000, 0.6), 50))
+
+
+@pytest.mark.parametrize("master_seed", [1, 3])
+def test_fig3_baseline_agrees_with_the_closed_form(master_seed):
+    # the fig3 recipe on the cell350 scenario, baseline only; the networks
+    # vary between replications, so the SE comes from their spread
+    cfg = ScenarioConfig(master_seed=master_seed, alpha=0.6, policy="baseline")
+    for cell in sweep(cfg, "n_sbs", [16, 32, 48, 64], ["baseline"]):
+        result = cell.result
+        expected = baseline_hit_closed_form(dataclasses.replace(cfg, n_sbs=cell.axis_value))
+        se = result.std_hit_rate / math.sqrt(cfg.replications)
+        assert abs(result.mean_hit_rate - expected) <= 3 * se, (cell.axis_value, expected)

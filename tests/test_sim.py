@@ -14,7 +14,7 @@ from sbscache import sim
 from sbscache.classify import ConvergenceError
 from sbscache.geometry import sample_binomial_disk
 from sbscache.netgraph import threshold_graph
-from sbscache.popularity import Catalog, sample_requests, top_mass
+from sbscache.popularity import Catalog, sample_requests
 from sbscache.sim import (
     POLICIES,
     ReplicationError,
@@ -36,6 +36,7 @@ from oracles import (
     build_access_map,
     build_delivery_map,
     rank_lookup_reference,
+    top_mass,
 )
 
 SMALL = ScenarioConfig(
