@@ -47,22 +47,25 @@ class PointSet:
         return self.xy.shape[0]
 
 
-def sample_binomial_disk(n: int, region_radius: float, seed: RngSeed, keep=None) -> PointSet:
-    """Draw exactly ``n`` i.i.d. area-uniform points in the disk.
+def sample_binomial_disk(n: int, region_radius: float, seed, keep=None) -> PointSet:
+    """Draw exactly ``n`` i.i.d. area-uniform points in the disk from each stream.
 
+    ``seed`` is an ``RngSeed`` or a list or tuple of them, whose draws are
+    concatenated; each stream is consumed as a single-seed call consumes it.
     The radius is drawn via the square-root transform (r = R * sqrt(u)) so
-    the distribution is uniform in area, and the result is deterministic
-    for a fixed seed. Given ``keep``, an index array into the ``n`` points,
-    only those points are returned, in ``keep``'s order: the stream is
-    consumed for all ``n`` and the transforms run on the kept draws alone.
+    the distribution is uniform in area. Given ``keep``, an index array into
+    the draws that may be unsorted and repeat, only those points are
+    returned, in ``keep``'s order: the transforms run on the kept draws alone.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if not region_radius > 0:
         raise ValueError("region_radius must be positive")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    streams = seed if isinstance(seed, (list, tuple)) else [seed]
+    u, theta = np.empty((2, len(streams), n))
+    for k, rng in enumerate(map(np.random.default_rng, streams)):
+        u[k], theta[k] = rng.random(n), rng.uniform(0.0, 2.0 * math.pi, n)
+    u, theta = u.reshape(-1), theta.reshape(-1)
     if keep is not None:
         u, theta = u[keep], theta[keep]
     r = region_radius * np.sqrt(u)

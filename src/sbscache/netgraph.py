@@ -35,13 +35,14 @@ class SimpleGraph:
         cols = np.concatenate((j, i)).astype(np.intp)
         if np.any(rows == cols):
             raise ValueError("self-loops are not allowed")
-        # one key per directed edge; a repeated edge is rejected below
-        order = np.argsort(rows * n + cols)
-        rows, cols = rows[order], cols[order]
-        if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
+        if rows.size and not 0 <= rows.min() <= rows.max() < n:
+            raise ValueError(f"vertices must lie in 0..{n - 1}")
+        keys = rows * n + cols  # one per directed edge: a repeated edge repeats its key
+        keys.sort()
+        if np.any(keys[1:] == keys[:-1]):
             raise ValueError("an edge is given twice")
+        rows, cols = np.divmod(keys, n)
         indptr = np.zeros(n + 1, dtype=np.intp)
-        # a vertex outside 0..n-1 raises ValueError in bincount or in cumsum
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return cls(indptr, cols)
 

@@ -49,12 +49,14 @@ class Catalog:
 
 
 def sample_requests(catalog: Catalog, size: int, rng) -> np.ndarray:
-    """``size`` requested ranks: the stream's uniforms through ``lookup_ranks``.
+    """``size`` requested ranks per stream: the uniforms through ``lookup_ranks``.
 
-    Mutates only the caller's stream.
+    ``rng`` is a seed or Generator or a list or tuple of them, whose ranks are
+    concatenated; each stream is consumed as a single-stream call consumes it.
     """
-    rng = np.random.default_rng(rng)
-    return lookup_ranks(catalog, rng.random(size))
+    streams = rng if isinstance(rng, (list, tuple)) else [rng]
+    u = np.array([np.random.default_rng(stream).random(size) for stream in streams])
+    return lookup_ranks(catalog, u.reshape(-1))
 
 
 def lookup_ranks(catalog: Catalog, u: np.ndarray) -> np.ndarray:

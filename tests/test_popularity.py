@@ -1,4 +1,4 @@
-"""Zipf pmf, sampling, and head-mass behavior."""
+"""The catalog's tables and request sampling."""
 
 import pickle
 
@@ -14,35 +14,7 @@ from sbscache.popularity import (
     sample_requests,
 )
 
-from oracles import rank_lookup_reference, top_mass, zipf_pmf, zipf_pmf_reference, zipf_pmf_table
-
-
-def test_uniform_when_alpha_zero():
-    cat = Catalog(4, 0.0)
-    assert [zipf_pmf(cat, r) for r in range(1, 5)] == [0.25] * 4
-
-
-def test_two_file_catalog_hand_normalized():
-    # 1 / (1 + 1/2) = 2/3
-    assert zipf_pmf(Catalog(2, 1.0), 1) == pytest.approx(2 / 3, abs=1e-15)
-
-
-def test_pmf_sums_to_one():
-    cat = Catalog(1000, 0.6)
-    assert abs(sum(zipf_pmf(cat, r) for r in range(1, 1001)) - 1.0) <= 1e-12
-
-
-def test_pmf_matches_direct_normalization():
-    cat = Catalog(50, 0.9)
-    for rank in (1, 7, 50):
-        assert zipf_pmf(cat, rank) == pytest.approx(zipf_pmf_reference(rank, 0.9, 50), rel=1e-12)
-
-
-def test_pmf_rejects_out_of_range_rank():
-    cat = Catalog(10, 0.6)
-    for rank in (0, 11, -3):
-        with pytest.raises(ValueError):
-            zipf_pmf(cat, rank)
+from oracles import rank_lookup_reference, top_mass, zipf_pmf_table
 
 
 def test_catalog_rejects_bad_parameters():
@@ -72,48 +44,23 @@ def test_sampling_top50_mass():
     assert float(np.mean(draws <= 50)) == pytest.approx(top_mass(cat, 50), abs=0.01)
 
 
-def test_top_mass_bounds():
+def test_sample_requests_over_streams_is_the_concatenated_draws():
+    # the measure stage draws every round's requests in one call, one stream per round
     cat = Catalog(1000, 0.6)
-    assert top_mass(cat, 0) == 0.0
-    assert top_mass(cat, 1000) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_top_mass_equals_direct_sum():
-    cat = Catalog(1000, 0.6)
-    direct = sum(zipf_pmf(cat, r) for r in range(1, 51))
-    assert top_mass(cat, 50) == pytest.approx(direct, rel=1e-12)
-
-
-@given(st.integers(min_value=1, max_value=500), st.floats(min_value=0.0, max_value=3.0))
-@settings(max_examples=100)
-def test_pmf_non_increasing_in_rank(file_count, alpha):
-    cat = Catalog(file_count, alpha)
-    pmf = [zipf_pmf(cat, r) for r in range(1, file_count + 1)]
-    assert all(a >= b for a, b in zip(pmf, pmf[1:]))
-    # strict decrease needs alpha large enough for rank**-alpha to move a float64
-    if alpha >= 1e-6:
-        assert all(a > b for a, b in zip(pmf, pmf[1:]))
+    streams = [np.random.SeedSequence(7, spawn_key=(0, 3, r, 1)) for r in range(4)]
+    expected = np.concatenate([sample_requests(cat, 300, s) for s in streams])
+    assert sample_requests(cat, 300, streams).tobytes() == expected.tobytes()
+    assert sample_requests(cat, 300, tuple(streams)).tobytes() == expected.tobytes()
+    for seed in (streams[0], 5):
+        one = sample_requests(cat, 300, [seed])
+        assert one.tobytes() == sample_requests(cat, 300, seed).tobytes()
+    assert sample_requests(cat, 0, streams).size == sample_requests(cat, 300, []).size == 0
 
 
 @pytest.mark.parametrize("file_count", [1, 10, 1000, 10**6])
 def test_normalization_across_catalog_sizes(file_count):
     cat = Catalog(file_count, 0.6)
     assert abs(float(cat._cdf[-2]) - 1.0) <= 1e-12
-
-
-@given(
-    st.integers(min_value=2, max_value=200),
-    st.floats(min_value=0.0, max_value=2.0),
-    st.floats(min_value=0.05, max_value=1.0),
-)
-@settings(max_examples=100)
-def test_top_mass_monotone(file_count, alpha, alpha_bump):
-    cat = Catalog(file_count, alpha)
-    masses = [top_mass(cat, k) for k in range(file_count + 1)]
-    assert all(a <= b + 1e-15 for a, b in zip(masses, masses[1:]))
-    # for fixed 1 <= k < |F|, raising alpha concentrates mass in the head
-    k = max(1, file_count // 3)
-    assert top_mass(Catalog(file_count, alpha + alpha_bump), k) >= top_mass(cat, k) - 1e-12
 
 
 def _edge_uniforms(cat: Catalog) -> np.ndarray:

@@ -253,7 +253,12 @@ def test_measure_stage_makes_one_access_call_per_replication(monkeypatch, n_roun
     one thread (61 -> 68 replications/s at 48 SBS), but under the fig3
     sweep's 2-thread pool it doubled the sweep's wall time, from 2.0-2.3 s
     to 3.7-4.5 s on a 2-core host: its ~25 short numpy calls per round
-    convoy on the GIL.
+    convoy on the GIL. The draws are batched for the same reason. Counted
+    from the code, drawing each round's ranks and positions apart took
+    about 50 numpy operations per round (the rank lookup, the sqrt/cos/sin
+    transform, a PointSet check, buffer copies); one call per replication
+    over the rounds' streams leaves 9 per round (two streams, two
+    generators, three draws, two row copies).
     """
     calls = []
     original = sim.access_pairs
