@@ -71,32 +71,19 @@ def matern_type_ii(near: SimpleGraph, marks: np.ndarray) -> np.ndarray:
     """Type-II thinning: keep the points whose mark is strictly smallest locally.
 
     Point i is eliminated iff some hard-core neighbour j of ``near`` (as in
-    ``matern_type_i``) has ``marks[j] < marks[i]``: i is kept iff its mark
+    ``matern_type_i``) has ``marks[j] <= marks[i]``: i is kept iff its mark
     is below the minimum over its neighbour list, and a point without
-    neighbours is kept. Marks must be pairwise distinct so the comparison is
-    never ambiguous. Returns sorted indices.
+    neighbours is kept. Two neighbours with tied marks both go, as two
+    points at exactly the hard distance both go in type I, so the survivors
+    are pairwise farther apart than the hard distance for any marks.
+    Returns sorted indices.
     """
-    ordered = np.sort(marks)
-    if np.any(ordered[1:] == ordered[:-1]):
-        raise ValueError("marks must be pairwise distinct")
     indptr = near.indptr
     keep = np.ones(marks.size, dtype=bool)
     has = np.flatnonzero(indptr[1:] > indptr[:-1])
     if has.size:
         keep[has] = marks[has] < np.minimum.reduceat(marks[near.indices], indptr[has])
     return np.flatnonzero(keep)
-
-
-def _fresh_marks(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform marks in [0, 1); every mark of a tied value is redrawn, in index order."""
-    marks = rng.random(n)
-    while True:
-        ordered = np.sort(marks)
-        tied = ordered[1:][ordered[1:] == ordered[:-1]]
-        if not tied.size:
-            return marks
-        redraw = np.isin(marks, tied)
-        marks[redraw] = rng.random(int(redraw.sum()))
 
 
 def classify_and_weigh(
@@ -112,8 +99,9 @@ def classify_and_weigh(
     number of survivors among its members. The type-I survivors depend on
     geometry only, so their credit is counted once and earned every
     iteration; each iteration adds the credit of the type-II survivors
-    under fresh marks. A station in both survivor sets credits its class
-    twice, once per set.
+    under fresh marks, one ``random(n)`` draw from the seeded generator
+    (tied neighbours both lose, as ``matern_type_ii`` says). A station in
+    both survivor sets credits its class twice, once per set.
 
     Raises ConvergenceError, reporting the still-zero indices, if the budget
     (default 10 * station count) runs out first.
@@ -142,7 +130,7 @@ def classify_and_weigh(
     credit_ii = np.zeros(n, dtype=int)
     for iteration in range(1, max_iterations + 1):
         survives_ii = np.zeros(n, dtype=bool)
-        survives_ii[matern_type_ii(near, _fresh_marks(rng, n))] = True
+        survives_ii[matern_type_ii(near, rng.random(n))] = True
         credit_ii += np.bincount(cj[survives_ii[ci]], minlength=n)
         weights = iteration * credit_i + credit_ii
         if np.all(weights > 0):

@@ -17,11 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Anything accepted by numpy's default_rng: an int seed, a SeedSequence,
-# or an already-constructed Generator (used as-is).
-RngSeed = int | np.random.SeedSequence | np.random.Generator
-
-
 @dataclass
 class PointSet:
     """Ordered points inside the disk of radius ``region_radius`` centred at the origin.
@@ -50,8 +45,10 @@ class PointSet:
 def sample_binomial_disk(n: int, region_radius: float, seed, keep=None) -> PointSet:
     """Draw exactly ``n`` i.i.d. area-uniform points in the disk from each stream.
 
-    ``seed`` is an ``RngSeed`` or a list or tuple of them, whose draws are
-    concatenated; each stream is consumed as a single-seed call consumes it.
+    ``seed`` is anything ``np.random.default_rng`` accepts (an int, a
+    ``SeedSequence``, or a ``Generator``, used as it is), or a list or tuple
+    of them, whose draws are concatenated; each stream is consumed as a
+    single-seed call consumes it.
     The radius is drawn via the square-root transform (r = R * sqrt(u)) so
     the distribution is uniform in area. Given ``keep``, an index array into
     the draws that may be unsorted and repeat, only those points are

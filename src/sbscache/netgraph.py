@@ -101,7 +101,7 @@ def threshold_graph(sbs: PointSet, thresholds) -> SimpleGraph:
     """
     n = len(sbs)
     t = np.broadcast_to(np.asarray(thresholds, dtype=float), (n,))
-    if np.any(t < 0.0):
+    if not np.all(t >= 0.0):
         raise ValueError("thresholds must be non-negative")
     i, j = pairs_within(sbs, sbs, t)
     keep = (t[j] < t[i]) | ((t[j] == t[i]) & (i < j))

@@ -31,7 +31,7 @@ class Catalog:
     def __post_init__(self):
         if self.file_count < 1:
             raise ValueError("file_count must be at least 1")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError("alpha must be non-negative")
         ranks = np.arange(1, self.file_count + 1, dtype=float)
         weights = ranks ** (-float(self.alpha))

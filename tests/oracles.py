@@ -10,8 +10,8 @@ head masses from their own table, and expected hit rates from integrating
 over a grid of the cell instead of drawing users and requests. The
 baseline's hit rate also has a closed form, one integral over the user's
 radius of the chance that some station covers it, with no network drawn.
-The class weights' marks come from the production seed through a copy of
-the resample loop, so both sides see the same marks. The exception is the
+The class weights' marks are the same ``random(n)`` draws from the
+production seed, so both sides see the same marks. The exception is the
 pruned clique search, which reads the exact solver's bit-packed adjacency
 (the coloring tests check it against the full subset scans).
 """
@@ -239,22 +239,6 @@ def block_caches_reference(colors, memory: int, file_count: int) -> tuple[frozen
     return tuple(caches)
 
 
-def fresh_marks_reference(rng, n: int) -> np.ndarray:
-    """Uniform marks in [0, 1), colliding ones redrawn until all are distinct.
-
-    The resample loop as first written, with no fast path: it asks ``rng``
-    for the same draws as the production marks, so the class-weight oracle
-    sees the same marks every iteration.
-    """
-    marks = rng.random(n)
-    while True:
-        _, inverse, counts = np.unique(marks, return_inverse=True, return_counts=True)
-        dup = counts[inverse] > 1
-        if not dup.any():
-            return marks
-        marks[dup] = rng.random(int(dup.sum()))
-
-
 def hard_core_matrix(pts: PointSet, hard: float) -> np.ndarray:
     """Dense boolean hard-core relation: ``m[i, j]`` iff i != j and d(i, j) <= hard."""
     near = distance_matrix(pts) <= hard
@@ -266,9 +250,10 @@ def matern_reference(near: np.ndarray, marks: np.ndarray) -> tuple[list[int], li
     """Type-I and type-II survivors of the dense hard-core matrix, as sorted lists.
 
     Type I keeps the points with no neighbour; type II eliminates a point
-    iff some neighbour has a smaller mark.
+    iff some neighbour's mark is no larger than its own, so tied neighbours
+    both go.
     """
-    beaten = near & (marks[None, :] < marks[:, None])
+    beaten = near & (marks[None, :] <= marks[:, None])
     return np.flatnonzero(~near.any(axis=1)).tolist(), np.flatnonzero(~beaten.any(axis=1)).tolist()
 
 
@@ -279,9 +264,9 @@ def class_weights_reference(
 
     Classes and hard-core neighbours (at 2 * r_class) come from the dense
     distance matrix, and both thinnings from ``matern_reference``; a station
-    in both survivor lists credits its class once per list. Marks
-    come from ``fresh_marks_reference`` on the production seed, so that
-    every iteration sees the same marks. Returns (classes, weights,
+    in both survivor lists credits its class once per list. Each
+    iteration's marks are one ``random(n)`` draw from the production seed,
+    so that every iteration sees the same marks. Returns (classes, weights,
     iterations_used); raises RuntimeError if the budget runs out.
     """
     n = len(pts)
@@ -293,7 +278,7 @@ def class_weights_reference(
         return classes, weights, 0
     rng = np.random.default_rng(seed)
     for iteration in range(1, (max_iterations or 10 * n) + 1):
-        survivors_i, survivors_ii = matern_reference(near, fresh_marks_reference(rng, n))
+        survivors_i, survivors_ii = matern_reference(near, rng.random(n))
         for i in survivors_i + survivors_ii:
             for j in classes[i]:
                 weights[j] += 1

@@ -18,7 +18,7 @@ from sbscache.classify import (
 from sbscache.geometry import PointSet, pairs_within
 from sbscache.netgraph import build_class_graph
 
-from oracles import class_matrix, class_weights_reference, fresh_marks_reference
+from oracles import class_matrix, class_weights_reference
 
 
 def ptset(coords, radius=1000.0):
@@ -99,39 +99,6 @@ def test_class_pairs_are_the_kernel_pairs_at_r_class(coords, r_class):
     expected = pairs_within(pts, pts, np.full(len(pts), r_class))
     assert cw.classes[0].size == expected[0].size
     assert set(zip(*(a.tolist() for a in cw.classes))) == set(zip(*(a.tolist() for a in expected)))
-
-
-class ScriptedRng:
-    """A stand-in generator whose ``random(size)`` returns scripted draws in order."""
-
-    def __init__(self, *draws):
-        self.draws = [np.array(d, dtype=float) for d in draws]
-        self.sizes = []
-
-    def random(self, size):
-        out = self.draws[len(self.sizes)].copy()
-        self.sizes.append(size)
-        assert out.size == size
-        return out
-
-
-@pytest.mark.parametrize(
-    "draws",
-    [
-        ([0.5, 0.2, 0.9],),
-        ([0.5, 0.2, 0.5, 0.7], [0.9, 0.1]),
-        # the redraw collides with a kept mark, so a third draw follows
-        ([0.5, 0.2, 0.5, 0.7], [0.2, 0.3], [0.4, 0.6]),
-    ],
-    ids=["distinct", "one-redraw", "two-redraws"],
-)
-def test_fresh_marks_consume_the_reference_draws(draws):
-    fast, reference = ScriptedRng(*draws), ScriptedRng(*draws)
-    n = len(draws[0])
-    marks = classify._fresh_marks(fast, n)
-    assert marks.tolist() == fresh_marks_reference(reference, n).tolist()
-    assert fast.sizes == reference.sizes and len(fast.sizes) == len(draws)
-    assert np.unique(marks).size == n
 
 
 def test_convergence_error_reports_zero_weight_indices():

@@ -29,6 +29,12 @@ def thin_i(pts, hard):
     return matern_type_i(near(pts, hard))
 
 
+def distinct_and_tied_marks(n, seed):
+    """Two mark vectors for ``n`` points: pairwise distinct, and drawn from {0, 1/3, 2/3}."""
+    rng = np.random.default_rng(seed)
+    return rng.permutation(n) / max(n, 1), rng.integers(0, 3, n) / 3
+
+
 def test_binomial_disk_empty():
     assert len(sample_binomial_disk(0, 350.0, seed=1)) == 0
 
@@ -140,11 +146,13 @@ def test_matern_ii_chain_middle_wins():
     assert matern_type_ii(near(pts, 1.0), np.array([0.3, 0.1, 0.2])).tolist() == [1]
 
 
-def test_matern_ii_rejects_tied_marks():
-    # ties are rejected whether or not the tied points are neighbours
-    for coords in ([(0, 0), (3, 0)], [(0, 0), (0.5, 0)]):
-        with pytest.raises(ValueError):
-            matern_type_ii(near(ptset(coords), 1.0), np.array([0.5, 0.5]))
+def test_matern_ii_tied_neighbours_both_lose():
+    # a tie between neighbours eliminates both, as type I eliminates both
+    # points at exactly the hard distance; non-neighbours compare no marks,
+    # so a tie between them keeps both
+    marks = np.array([0.5, 0.5])
+    assert matern_type_ii(near(ptset([(0, 0), (0.5, 0)]), 1.0), marks).tolist() == []
+    assert matern_type_ii(near(ptset([(0, 0), (3, 0)]), 1.0), marks).tolist() == [0, 1]
 
 
 def test_distance_matrix_single():
@@ -378,11 +386,11 @@ def test_matern_i_respects_hard_distance(pts, hard):
 @given(disk_point_sets(), st.floats(min_value=1.0, max_value=60.0), st.integers(0, 2**31))
 @settings(max_examples=150)
 def test_matern_ii_respects_hard_distance_and_contains_type_i(pts, hard, seed):
-    marks = np.random.default_rng(seed).permutation(len(pts)) / max(len(pts), 1)
-    kept_ii = matern_type_ii(near(pts, hard), marks)
-    assert min_pairwise_distance(pts.xy[kept_ii]) > hard
     kept_i = thin_i(pts, hard)
-    assert set(kept_i.tolist()) <= set(kept_ii.tolist())
+    for marks in distinct_and_tied_marks(len(pts), seed):
+        kept_ii = matern_type_ii(near(pts, hard), marks)
+        assert min_pairwise_distance(pts.xy[kept_ii]) > hard
+        assert set(kept_i.tolist()) <= set(kept_ii.tolist())
 
 
 @given(disk_point_sets())
@@ -402,11 +410,12 @@ def test_matern_outputs_deterministic(pts):
 @example(ptset([(7, 7), (7, 7), (7, 9), (50, 50), (50, 50)]), 3.0, 3)
 @settings(max_examples=150)
 def test_csr_thinnings_match_the_dense_oracle(pts, hard, seed):
-    # eliminated iff a neighbour within the hard distance has a smaller mark;
-    # type I keeps the points with no such neighbour at all
-    marks = np.random.default_rng(seed).permutation(len(pts)) / max(len(pts), 1)
-    kept_i, kept_ii = matern_reference(hard_core_matrix(pts, hard), marks)
+    # eliminated iff a neighbour within the hard distance has a mark no
+    # larger; type I keeps the points with no neighbour at all
     csr = near(pts, hard)
-    assert matern_type_i(csr).tolist() == kept_i
-    assert matern_type_ii(csr, marks).tolist() == kept_ii
+    for marks in distinct_and_tied_marks(len(pts), seed):
+        kept_i, kept_ii = matern_reference(hard_core_matrix(pts, hard), marks)
+        assert matern_type_i(csr).tolist() == kept_i
+        assert matern_type_ii(csr, marks).tolist() == kept_ii
+        assert min_pairwise_distance(pts.xy[kept_ii]) > hard
 

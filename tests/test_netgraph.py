@@ -111,6 +111,14 @@ def test_range_readers_reject_a_non_positive_range(reader, bad):
         RANGE_READERS[reader](np.array([80.0, bad, 60.0]))
 
 
+@pytest.mark.parametrize(
+    "bad", [-1.0, np.nan, np.array([80.0, np.nan])], ids=["negative", "nan", "nan-entry"]
+)
+def test_threshold_graph_rejects_a_negative_or_nan_threshold(bad):
+    with pytest.raises(ValueError, match="thresholds must be non-negative"):
+        threshold_graph(ptset([(0, 0), (60, 0)]), bad)
+
+
 def test_threshold_graph_far_apart_no_edge():
     assert threshold_graph(ptset([(0, 0), (200, 0)]), 80.0).edges() == []
 

@@ -18,10 +18,12 @@ from oracles import rank_lookup_reference, top_mass, zipf_pmf_table
 
 
 def test_catalog_rejects_bad_parameters():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="file_count must be at least 1"):
         Catalog(0, 0.6)
-    with pytest.raises(ValueError):
-        Catalog(10, -0.1)
+    # NaN fails the same check by name, before the pmf is built
+    for alpha in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="alpha must be non-negative"):
+            Catalog(10, alpha)
 
 
 def test_single_file_always_rank_one():
