@@ -22,15 +22,17 @@ scored through the placement's per-color block table. All rounds are drawn
 in one pass, one call over their streams for the ranks and one for the query
 points (the fig3 sweep on 2 threads, 2-core host: 0.52 -> 0.43 s median).
 
-A sweep draws those shared stages once per replication: the first cell at
-an axis value draws each replication's network, users, requests and access
-pairs into a plain dict, replication index to stages, and every later cell
-at that value reads them back. The dict belongs to the thread that runs the
-sweep, and ``run_scenario`` passes each replication its own entry as an
-argument, so worker threads read no hidden state. The later cells'
-placements are not known when the first cell draws, so a stored draw is
-one group: a single color that caches every rank and that every station
-has. It takes the access pairs of every user-round.
+A sweep keeps one store for its whole life, a dict of stages per seed. Each
+stage is drawn once per seed and per value of the axis fields it reads, and
+replaced when that value moves on. The users read neither axis: each
+user-round's position is kept read-only, 16 B per user-round per seed for
+the life of the sweep. The ranks are drawn once per ``alpha``. The network
+is drawn once per ``n_sbs``, with the placement of every sweep cell, keyed
+by (policy, threshold_mode), and the union of the ranks they cache. One
+ungrouped access call per (``n_sbs``, ``alpha``) gives the pairs of the
+user-rounds with a rank in that union; any other request is a miss in every
+cell. The store belongs to the thread that runs the sweep, and each
+replication gets its entry as an argument, so workers read no hidden state.
 """
 
 from __future__ import annotations
@@ -238,24 +240,23 @@ def _narrow(a: np.ndarray) -> np.ndarray:
     return out
 
 
-# The cell that a sweep on this thread is running (``cell``) and its axis
-# value's ``store``: replication index -> that replication's stages. It is
-# thread state rather than an argument because perfbench times each sweep
-# cell by replacing ``run_scenario`` with a wrapper that takes only
-# ``(cfg, workers)``.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# The cell that a sweep on this thread is running (``cell``) and the sweep's
+# ``store``: replication index -> that replication's stages. It is thread
+# state rather than an argument because perfbench times each sweep cell by
+# replacing ``run_scenario`` with a wrapper that takes only ``(cfg, workers)``.
 _sweeping = threading.local()
 
 
-def _shared(stored, stage: str, draw, keep):
-    """``draw(False)``, or ``keep(draw(True))`` drawn once into a replication's ``stored`` entry.
-
-    ``draw``'s argument says whether its result will serve other cells too.
-    """
-    if stored is None:
-        return draw(False)
-    if stage not in stored:
-        stored[stage] = keep(draw(True))
-    return stored[stage]
+def _shared(stored: dict, stage: str, key, draw):
+    """``draw()``, kept in ``stored`` while the axis fields that the stage reads are ``key``."""
+    if stage not in stored or stored[stage][0] != key:
+        stored[stage] = key, draw()
+    return stored[stage][1]
 
 
 @dataclass
@@ -292,10 +293,6 @@ class PolicyArtifacts:
     class_weights: "ClassWeights | None"
     placement: Placement
 
-    @property
-    def colors_used(self) -> int:
-        return int(self.placement.colors.max(initial=0))
-
 
 def replication_seeds(master_seed: int, n: int) -> list[np.random.SeedSequence]:
     """Deterministic per-replication seed sequences derived from the master seed."""
@@ -313,13 +310,6 @@ def _stream(rep_seed, *path: int) -> np.random.SeedSequence:
     if not isinstance(rep_seed, np.random.SeedSequence):
         rep_seed = np.random.SeedSequence(rep_seed)
     return np.random.SeedSequence(rep_seed.entropy, spawn_key=rep_seed.spawn_key + path)
-
-
-def _read_only(network: tuple[PointSet, np.ndarray]) -> tuple[PointSet, np.ndarray]:
-    sbs, ranges = network
-    sbs.xy.flags.writeable = False
-    ranges.flags.writeable = False
-    return network
 
 
 def build_network(cfg: ScenarioConfig, rep_seed) -> tuple[PointSet, np.ndarray]:
@@ -387,34 +377,46 @@ def measure_hit_rate(
     per-color block table. A station has one color, so a rank that several
     colors cache (wrap-around) is queried once per color, and the hit set is
     that of every covering station. A request of a user-round that is not
-    live is a miss. Given a sweep's ``stored`` entry, the pairs and ranks are
-    drawn once into it and kept narrowed for every cell at the axis value;
-    that draw has one group, which caches every rank and holds every
-    station, so its pairs cover all user-rounds.
+    live is a miss.
+
+    Given a sweep's ``stored`` entry, the ranks and pairs are drawn into it
+    once per ``alpha`` and (``n_sbs``, ``alpha``), and the users once. The
+    pairs hold every covering station of each user-round with a rank that
+    some placement of the network stage caches; the block table scores them.
     """
     n_users, q = cfg.n_users, cfg.requests_per_round
     if cfg.n_rounds * n_users * q == 0:
         return 0.0
     table = color_table(placement)
+    rounds = range(cfg.n_rounds)
 
-    def draw(stored):
-        if stored:
-            groups, labels = np.ones((1, catalog.file_count), dtype=bool), np.zeros(len(sbs), int)
-        else:
-            groups, labels = table, placement.colors - 1
-        rounds = range(cfg.n_rounds)
+    def draw_ranks():
         ranks = sample_requests(catalog, n_users * q, [_stream(rep_seed, 3, r, 1) for r in rounds])
-        ranks = ranks.reshape(-1, q)  # request i of a round belongs to its user i // q
-        live = np.flatnonzero(groups.any(axis=0)[ranks - 1].any(axis=1))
-        # query i * k + c: color c + 1 caches a rank of live user-round i
-        query = np.flatnonzero(groups.T[ranks[live] - 1].any(axis=1))
-        user, color = np.divmod(query, len(groups))
-        seeds = [_stream(rep_seed, 3, r, 0) for r in rounds]
-        users = sample_binomial_disk(n_users, cfg.cell_radius, seeds, live[user])
-        u, j = access_pairs(users, sbs, ranges, color, labels)
-        return live[user[u]], j, ranks
+        return ranks.reshape(-1, q)  # request i of a round belongs to its user i // q
 
-    u, j, ranks = _shared(stored, "rounds", draw, lambda rounds: tuple(map(_narrow, rounds)))
+    def draw_users(keep=None):
+        seeds = [_stream(rep_seed, 3, r, 0) for r in rounds]
+        return sample_binomial_disk(n_users, cfg.cell_radius, seeds, keep)
+
+    if stored is None:
+        ranks = draw_ranks()
+        live = np.flatnonzero(table.any(axis=0)[ranks - 1].any(axis=1))
+        # query i * k + c: color c + 1 caches a rank of live user-round i
+        query = np.flatnonzero(table.T[ranks[live] - 1].any(axis=1))
+        user, color = np.divmod(query, len(table))
+        u, j = access_pairs(draw_users(live[user]), sbs, ranges, color, placement.colors - 1)
+        u = live[user[u]]
+    else:
+        ranks = _shared(stored, "ranks", cfg.alpha, lambda: _narrow(draw_ranks()))
+
+        def draw_pairs():
+            xy = _shared(stored, "users", (), lambda: _read_only(draw_users().xy))
+            cached = stored["network"][1][-1]  # the ranks some cell's placement caches
+            live = np.flatnonzero(cached[ranks - 1].any(axis=1))
+            u, j = access_pairs(PointSet(xy[live], cfg.cell_radius), sbs, ranges)
+            return _narrow(live[u]), _narrow(j)
+
+        u, j = _shared(stored, "pairs", (cfg.n_sbs, cfg.alpha), draw_pairs)
     # flat indices into the (pair, request) grid of the requests their station caches
     cached_at = np.flatnonzero(table[(placement.colors - 1)[j, None], ranks[u] - 1])
     hit = np.zeros(ranks.shape, dtype=bool)
@@ -427,12 +429,35 @@ def run_replication(
 ) -> tuple[float, int]:
     """One full replication on the scenario's catalog; returns (hit_rate, colors_used).
 
-    With a sweep's ``stored`` entry, the network is drawn once into it and kept read-only.
+    Given a sweep's ``stored`` entry, the first cell at an ``n_sbs`` draws the
+    network into it, read-only, with the placement of each (policy,
+    threshold_mode) that the entry lists and the union of the ranks they
+    cache; the cells after it read their placement back. So a placement
+    that fails raises in the first cell, and the error names its policy.
     """
-    sbs, ranges = _shared(stored, "network", lambda _: build_network(cfg, rep_seed), _read_only)
-    art = build_policy_artifacts(cfg, sbs, ranges, rep_seed, catalog)
-    hit_rate = measure_hit_rate(cfg, sbs, ranges, art.placement, rep_seed, catalog, stored)
-    return hit_rate, art.colors_used
+
+    def draw_network():
+        sbs, ranges = build_network(cfg, rep_seed)
+        placements = {}
+        for policy, mode in stored["policies"]:
+            cell = dataclasses.replace(cfg, policy=policy, threshold_mode=mode)
+            try:
+                art = build_policy_artifacts(cell, sbs, ranges, rep_seed, catalog)
+            except Exception as exc:
+                raise RuntimeError(f"{policy} placement: {exc}") from exc
+            placements[policy, mode] = art.placement
+        cached = np.any([color_table(p).any(axis=0) for p in placements.values()], axis=0)
+        _read_only(sbs.xy), _read_only(ranges)
+        return sbs, ranges, placements, cached
+
+    if stored is None:
+        sbs, ranges = build_network(cfg, rep_seed)
+        placement = build_policy_artifacts(cfg, sbs, ranges, rep_seed, catalog).placement
+    else:
+        sbs, ranges, placements, _ = _shared(stored, "network", cfg.n_sbs, draw_network)
+        placement = placements[cfg.policy, cfg.threshold_mode]
+    hit_rate = measure_hit_rate(cfg, sbs, ranges, placement, rep_seed, catalog, stored)
+    return hit_rate, int(placement.colors.max(initial=0))
 
 
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> SimResult:
@@ -449,8 +474,7 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> SimResult:
     cfg.validate()
     seeds = replication_seeds(cfg.master_seed, cfg.replications)
     catalog = Catalog(cfg.file_count, cfg.alpha)
-    store = _sweeping.store if getattr(_sweeping, "cell", None) is cfg else None
-    stored = [None if store is None else store.setdefault(i, {}) for i in range(len(seeds))]
+    stored = _sweeping.store if getattr(_sweeping, "cell", None) is cfg else [None] * len(seeds)
 
     def one(i: int) -> tuple[float, int]:
         try:
@@ -495,10 +519,12 @@ def sweep(
     cell's config is validated before any cell runs, so a bad value raises
     ValueError at once.
 
-    Cells run in order, one ``run_scenario`` call each. Each axis value
-    gets a new store that only this thread can reach: the first cell at the
-    value draws each replication's shared stages into it and the cells after
-    it read them back. The store is dropped when the sweep ends or fails.
+    Cells run in order, one ``run_scenario`` call each. The sweep keeps one
+    store that only this thread can reach, an entry per replication seed
+    that lists every cell's (policy, threshold_mode). Each stage is drawn
+    into it once per seed and per value of the axis fields it reads (see the
+    module docstring); the users stay for the whole sweep, 16 B per
+    user-round per seed. The store is dropped when the sweep ends or fails.
     """
     _check_workers(workers)
     if axis not in SWEEP_AXES:
@@ -521,11 +547,11 @@ def sweep(
             cfg_cell = dataclasses.replace(cfg, **overrides)
             cfg_cell.validate()
             runs.append((value, label, cfg_cell))
+    kinds = list(dict.fromkeys((c.policy, c.threshold_mode) for _, _, c in runs))
     cells = []
     try:
-        for k, (value, label, cfg_cell) in enumerate(runs):
-            if k % len(policies) == 0:
-                _sweeping.store = {}
+        _sweeping.store = [{"policies": kinds} for _ in range(cfg.replications)]
+        for value, label, cfg_cell in runs:
             _sweeping.cell = cfg_cell
             result = run_scenario(cfg_cell, workers=workers)
             cells.append(SweepCell(axis, value, label, result, cfg.master_seed))

@@ -1,11 +1,13 @@
 """A sweep's shared stages: drawn once per replication seed, identical to fresh cells.
 
-``sim.sweep`` keeps each replication's network, users, requests and access
-pairs in a store that only the sweeping thread reaches, so that the cells
-after the first at an axis value read them back. These tests pin that every
-cell still equals an independent ``run_scenario`` of its config, that only
-the cell the sweep is running reads the store, and that the store lives
-exactly as long as its sweep and holds one axis value at a time.
+``sim.sweep`` keeps each replication's users, ranks, network, placements
+and access pairs in a store that only the sweeping thread reaches. Each
+stage is drawn once per seed and per value of the axis fields it reads, and
+the cells after read it back. These tests pin that every cell still equals
+an independent ``run_scenario`` of its config, that only the cell the sweep
+is running reads the store, that each stage is drawn once per seed and
+value, and that the store lives exactly as long as its sweep and holds one
+value of each stage's axis fields at a time.
 """
 
 import dataclasses
@@ -13,12 +15,15 @@ import os
 import subprocess
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sbscache import cli, sim
+from sbscache.classify import ConvergenceError
+from sbscache.placement import color_table
 from sbscache.sim import ReplicationError, ScenarioConfig, run_scenario, sweep, sweep_to_csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -90,8 +95,9 @@ def _recorded_sweep(monkeypatch, cfg, axis, values, policies, workers, after_cel
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", ["fig3", "fig4", "fig5", "custom", "wrap", "tokens"])
 def test_sweep_cells_equal_independent_runs(monkeypatch, case, workers):
-    # a cell reads the stored pairs of every user-round, drawn as one group
-    # that caches every rank; an independent run queries each live
+    # a cell reads the stored pairs of the user-rounds with a rank that some
+    # cell caches, from one ungrouped call, and its placement, built by the
+    # first cell at its n_sbs; an independent run queries each live
     # user-round once per color that caches one of its ranks, against that
     # color's stations only
     cfg, axis, values, policies = CASES[case] if case in CASES else _recipe(case)
@@ -134,40 +140,94 @@ def test_store_is_dropped_after_a_failed_sweep():
         n_users=10, n_rounds=1, replications=3, master_seed=2,
     )
     before = run_scenario(dense)
-    with pytest.raises(ReplicationError):
+    # the baseline cell builds the Matern placement, and the error names it
+    with pytest.raises(ReplicationError, match="matern_coloring placement") as err:
         sweep(dense, "n_sbs", [2], ["baseline", "matern"])
+    assert isinstance(err.value.__cause__.__cause__, ConvergenceError)
     assert _store() is None and sim._sweeping.cell is None
     assert run_scenario(dense) == before
 
 
 def test_store_holds_one_key_in_minimal_dtypes(monkeypatch):
-    # one axis value's replications at a time, each entry narrowed and read-only
+    # one store for the whole sweep; each stage holds one value of the axis
+    # fields it reads, in its smallest dtype, read-only
     seen = []
 
     def inspect_store(cfg_cell):
         store = _store()
         assert store is not None and sim._sweeping.cell is cfg_cell
-        seen.append((cfg_cell.n_sbs, store, sorted(store)))
-        for entry in store.values():
-            assert set(entry) == {"network", "rounds"}
-            sbs, ranges = entry["network"]
+        assert len(store) == cfg_cell.replications
+        for entry in store:
+            assert set(entry) == {"policies", "users", "ranks", "network", "pairs"}
+            assert entry["policies"] == [("baseline", "individual"), ("threshold_coloring", "individual")]
+            key, (sbs, ranges, placements, cached) = entry["network"]
+            assert key == cfg_cell.n_sbs
             assert not sbs.xy.flags.writeable and not ranges.flags.writeable
-            u, j, ranks = entry["rounds"]
+            assert set(placements) == set(entry["policies"])
+            tables = [color_table(p) for p in placements.values()]
+            assert cached.tolist() == np.any([t.any(axis=0) for t in tables], axis=0).tolist()
+            # 16 B per user-round, whatever the axis value
+            key, xy = entry["users"]
+            assert xy.shape == (cfg_cell.n_rounds * cfg_cell.n_users, 2) and xy.dtype == np.float64
+            assert not xy.flags.writeable
+            key, ranks = entry["ranks"]
+            assert key == cfg_cell.alpha
+            assert ranks.shape == (xy.shape[0], cfg_cell.requests_per_round)
+            # only the pairs of the value the cell runs at
+            key, (u, j) = entry["pairs"]
+            assert key == (cfg_cell.n_sbs, cfg_cell.alpha)
             for a in (u, j, ranks):
                 assert a.dtype == np.min_scalar_type(a.max(initial=0))
                 assert not a.flags.writeable
             assert u.size == j.size
-            assert ranks.shape == (
-                cfg_cell.n_rounds * cfg_cell.n_users, cfg_cell.requests_per_round
-            )
+            assert set(u.tolist()) <= set(np.flatnonzero(cached[ranks - 1].any(axis=1)).tolist())
+        seen.append((store, [e["users"][1] for e in store], [e["network"][1] for e in store]))
 
     cfg = dataclasses.replace(SMALL, requests_per_round=2)
-    _recorded_sweep(monkeypatch, cfg, "n_sbs", [6, 30], ["baseline", "threshold"], 2, inspect_store)
-    rows = list(range(cfg.replications))
-    assert [(n, r) for n, _, r in seen] == [(6, rows), (6, rows), (30, rows), (30, rows)]
-    # the cells at a value share a store; the next value starts a new one
-    stores = [store for _, store, _ in seen]
-    assert stores[0] is stores[1] and stores[2] is stores[3] and stores[1] is not stores[2]
+    for axis, values in (("n_sbs", [6, 30]), ("alpha", [0.4, 0.8])):
+        seen.clear()
+        _recorded_sweep(monkeypatch, cfg, axis, values, ["baseline", "threshold"], 2, inspect_store)
+        stores, users, networks = zip(*seen)
+        # one store and one user draw per seed serve every cell
+        assert all(store is stores[0] for store in stores)
+        assert all(all(a is b for a, b in zip(drawn, users[0])) for drawn in users)
+        # a network per n_sbs value, shared by the cells at it
+        same = [all(a is b for a, b in zip(networks[0], drawn)) for drawn in networks]
+        assert same == ([True, True, False, False] if axis == "n_sbs" else [True] * 4)
+
+
+# Per seed in a 3-replication sweep: (networks, classifications, rank
+# draws, user draws). fig4's six alpha values share one network, Matern
+# classification and user draw per seed; fig3's four station counts share
+# the user and rank draws.
+STAGE_CALLS = {"fig4": (1, 1, 6, 1), "fig3": (4, 4, 1, 1)}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("recipe", list(STAGE_CALLS))
+def test_each_stage_is_drawn_once_per_seed_and_value(monkeypatch, recipe, workers):
+    calls = []  # list.append is atomic across the worker threads
+
+    def counting(name):
+        original = getattr(sim, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sim, name, wrapper)
+
+    stages = ("build_network", "classify_and_weigh", "sample_requests", "sample_binomial_disk")
+    for name in stages:
+        counting(name)
+    cfg, axis, values, policies = _recipe(recipe)
+    sweep(cfg, axis, values, policies, workers=workers)
+    counts = Counter(calls)
+    # build_network draws its stations through sample_binomial_disk
+    counts["sample_binomial_disk"] -= counts["build_network"]
+    assert tuple(counts[name] for name in stages) == tuple(
+        cfg.replications * n for n in STAGE_CALLS[recipe]
+    )
 
 
 def test_only_the_running_cell_reads_the_store(monkeypatch):

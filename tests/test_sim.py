@@ -247,7 +247,8 @@ def test_measure_stage_makes_one_access_call_per_replication(monkeypatch, n_roun
     station caches. It is queried once per color that caches one of its
     ranks, labelled by that color, against the stations labelled by theirs.
     A sweep stores one replication's pairs for every cell at an axis value,
-    so there the call covers every user-round, all in one group.
+    so there the call is ungrouped and covers exactly the user-rounds with a
+    rank that some cell's placement caches.
 
     Keep the batching. A per-round loop over the same kernel was faster on
     one thread (61 -> 68 replications/s at 48 SBS), but under the fig3
@@ -263,7 +264,7 @@ def test_measure_stage_makes_one_access_call_per_replication(monkeypatch, n_roun
     calls = []
     original = sim.access_pairs
 
-    def recorded(users, sbs, ranges, user_group, sbs_group):
+    def recorded(users, sbs, ranges, user_group=None, sbs_group=None):
         calls.append((users.xy, user_group, sbs_group))
         return original(users, sbs, ranges, user_group, sbs_group)
 
@@ -277,9 +278,31 @@ def test_measure_stage_makes_one_access_call_per_replication(monkeypatch, n_roun
         calls.clear()
         sweep(cfg, "alpha", [cfg.alpha], ["baseline", "threshold", "matern"])
         assert len(calls) == cfg.replications
-        for xy, user_group, sbs_group in calls:
-            assert len(xy) == n_rounds * cfg.n_users
-            assert not user_group.any() and not sbs_group.any()
+        for i, (xy, user_group, sbs_group) in enumerate(calls):
+            assert user_group is None and sbs_group is None
+            assert xy.tolist() == _cached_by_some_cell(cfg, i)
+            # only in the block case do the three placements leave ranks uncached
+            assert len(xy) > 0
+            assert (len(xy) < n_rounds * cfg.n_users) == (case == "blocks")
+
+
+def _cached_by_some_cell(cfg, i) -> list:
+    """Positions of replication i's user-rounds with a rank that some policy's placement caches."""
+    rep_seed = replication_seeds(cfg.master_seed, cfg.replications)[i]
+    catalog = Catalog(cfg.file_count, cfg.alpha)
+    sbs, ranges = build_network(cfg, rep_seed)
+    cached = set()
+    for policy in POLICIES:
+        cell = dataclasses.replace(cfg, policy=policy)
+        p = build_policy_artifacts(cell, sbs, ranges, rep_seed, catalog).placement
+        cached.update(*block_caches_reference(range(1, p.colors.max() + 1), p.memory, p.file_count))
+    q, points = cfg.requests_per_round, []
+    for r in range(cfg.n_rounds):
+        users = sample_binomial_disk(cfg.n_users, cfg.cell_radius, spawned((cfg.master_seed, i), (3, r, 0)))
+        rng = np.random.default_rng(spawned((cfg.master_seed, i), (3, r, 1)))
+        ranks = rank_lookup_reference(catalog, rng.random(cfg.n_users * q)).reshape(-1, q)
+        points += [xy for xy, rs in zip(users.xy.tolist(), ranks.tolist()) if cached.intersection(rs)]
+    return points
 
 
 def _check_access_calls(cfg, result, calls, wraps: bool) -> None:
