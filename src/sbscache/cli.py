@@ -227,7 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one scenario and print a result CSV row")
     p_run.add_argument("config", help="path to a key = value config file")
-    p_run.add_argument("--workers", type=int, default=1, help="replication worker threads")
+    p_run.add_argument(
+        "--workers", type=int, default=1,
+        help="replication worker processes, at most one per CPU and per replication",
+    )
     _add_override_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
@@ -238,7 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--policies", help="comma-separated policy names")
     p_sweep.add_argument("--recipe", choices=sorted(RECIPES))
     p_sweep.add_argument("--out", help="output CSV path (default: stdout)")
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes, each keeping its own replication seeds' stages for the sweep",
+    )
     _add_override_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 

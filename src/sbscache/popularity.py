@@ -20,7 +20,8 @@ class Catalog:
     keeps only the cumulative table of that pmf and the guide table through
     which sampling inverts it (Chen & Asau, 1974). Both are built with the
     catalog and never written afterwards, so one catalog serves every
-    replication of a scenario, on any number of threads.
+    replication of a scenario, and a sweep builds one per alpha and sends it
+    to its worker processes with each cell.
     """
 
     file_count: int

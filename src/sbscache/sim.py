@@ -10,7 +10,7 @@ All randomness flows from one master seed: replication i draws each stage
 from a fixed path below the master seed's i-th child (``_stream`` lists the
 paths), so two policies run with the same seed see identical networks, users
 and requests (paired comparisons), and results are bit-reproducible
-regardless of how many worker threads execute the replications.
+regardless of how many worker processes execute the replications.
 
 A request for rank f can hit only at a station whose color caches f. So
 the measure stage draws the ranks first, from the catalog's guide table,
@@ -31,18 +31,28 @@ is drawn once per ``n_sbs``, with the placement of every sweep cell, keyed
 by (policy, threshold_mode), and the union of the ranks they cache. One
 ungrouped access call per (``n_sbs``, ``alpha``) gives the pairs of the
 user-rounds with a rank in that union; any other request is a miss in every
-cell. The store belongs to the thread that runs the sweep, and each
-replication gets its entry as an argument, so workers read no hidden state.
+cell. Each replication gets its entry as an argument, so no replication
+reads hidden state.
+
+With ``workers`` > 1 the replications run on forked worker processes, at
+most one per CPU and per replication. Worker w runs replication i when
+i = w (mod k) for every cell, so a sweep forks its k workers once and each
+worker keeps its own seeds' store entries for the whole sweep; the parent
+sends each cell's config and catalog and gathers the results in seed order.
+With one worker everything runs in the calling thread, which a traced run
+needs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import numbers
+import os
+import pickle
 import threading
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,10 +255,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# The cell that a sweep on this thread is running (``cell``) and the sweep's
-# ``store``: replication index -> that replication's stages. It is thread
-# state rather than an argument because perfbench times each sweep cell by
-# replacing ``run_scenario`` with a wrapper that takes only ``(cfg, workers)``.
+# The cell that a sweep on this thread is running (``cell``), the sweep's
+# ``store`` (replication index -> that replication's stages), its worker
+# ``pool`` (None when it runs in-process) and its ``catalogs`` by
+# (file_count, alpha). It is thread state rather than an argument because
+# perfbench times each sweep cell by replacing ``run_scenario`` with a
+# wrapper that takes only ``(cfg, workers)``.
 _sweeping = threading.local()
 
 
@@ -460,35 +472,180 @@ def run_replication(
     return hit_rate, int(placement.colors.max(initial=0))
 
 
-def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> SimResult:
-    """Run all replications (optionally on worker threads) and aggregate.
+def _run_seeds(cfg: ScenarioConfig, catalog: Catalog, indices, store) -> list[tuple[float, int]]:
+    """Replications ``indices`` of ``cfg``, in order, replication i reading ``store[i]``.
 
-    Replication i always uses the i-th seed derived from ``master_seed`` and
-    aggregation follows replication order, so the result does not depend on
-    how the replications were scheduled. They share the scenario's one
-    catalog, which no replication writes. When ``cfg`` is the cell that a
-    sweep on this thread is running, replication i gets entry i of the
-    sweep's store as an argument; any other call stores nothing.
+    The one place that runs replications: in the calling thread with one
+    worker, and in each worker process with several.
     """
-    _check_workers(workers)
-    cfg.validate()
     seeds = replication_seeds(cfg.master_seed, cfg.replications)
-    catalog = Catalog(cfg.file_count, cfg.alpha)
-    stored = _sweeping.store if getattr(_sweeping, "cell", None) is cfg else [None] * len(seeds)
-
-    def one(i: int) -> tuple[float, int]:
+    results = []
+    for i in indices:
         try:
-            return run_replication(cfg, seeds[i], catalog, stored[i])
+            results.append(run_replication(cfg, seeds[i], catalog, store[i]))
         except Exception as exc:
             raise ReplicationError(
                 i, f"replication {i} (master_seed={cfg.master_seed}) failed: {exc}"
             ) from exc
+    return results
 
-    if workers == 1:
-        results = [one(i) for i in range(len(seeds))]
+
+def _pool_size(workers: int, replications: int) -> int:
+    """How many processes ``workers`` asks for: at most one per CPU and per replication."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(len(seeds))))
+        cpus = os.cpu_count() or 1
+    return min(workers, replications, cpus)
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """``exc`` as it comes back from a pickle round trip, or a RuntimeError that names it."""
+    try:
+        return pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _serve(conn, w: int, k: int, store: list) -> None:
+    """Worker w of k: run replications i = w (mod k) of each cell sent, until None.
+
+    A failure goes back as its ``__cause__`` chain, head first, since
+    pickling drops the links; the parent joins them again.
+    """
+    while True:
+        try:
+            job = conn.recv()
+        except EOFError:  # the parent is gone
+            return
+        if job is None:
+            return
+        cfg, catalog = job
+        try:
+            reply = True, _run_seeds(cfg, catalog, range(w, cfg.replications, k), store)
+        except Exception as exc:
+            chain = []
+            while exc is not None:
+                chain.append(_portable(exc))
+                exc = exc.__cause__
+            reply = False, chain
+        conn.send(reply)
+
+
+class _Pool:
+    """k forked workers; worker w runs replications i = w (mod k) of every cell.
+
+    Each worker inherits ``store`` at the fork and keeps its own seeds'
+    entries for the pool's life. Leaving the ``with`` block stops and joins
+    every worker.
+    """
+
+    STOP_TIMEOUT_S = 5.0  # then a worker that has not stopped is terminated
+
+    def __init__(self, k: int, store: list):
+        # only a run on several workers pays for the import
+        from multiprocessing import connection, get_context
+
+        self._wait = connection.wait
+        ctx = get_context("fork")
+        self._workers = []
+        try:
+            for w in range(k):
+                conn, child = ctx.Pipe()
+                proc = ctx.Process(target=_serve, args=(child, w, k, store), daemon=True)
+                try:
+                    proc.start()
+                finally:
+                    child.close()
+                self._workers.append((conn, proc))
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> "_Pool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _reply(self, conn, proc):
+        """What the worker sent back, or None if it died first."""
+        self._wait([conn, proc.sentinel])
+        try:
+            return conn.recv() if conn.poll() else None
+        except EOFError:
+            return None
+
+    def run(self, cfg: ScenarioConfig, catalog: Catalog) -> list[tuple[float, int]]:
+        """Every replication of ``cfg``, in seed order; the lowest failed index raises."""
+        k = len(self._workers)
+        for conn, _ in self._workers:
+            conn.send((cfg, catalog))
+        results = [None] * cfg.replications
+        failures = []
+        for w, (conn, proc) in enumerate(self._workers):
+            reply = self._reply(conn, proc)
+            if reply is None:
+                proc.join(self.STOP_TIMEOUT_S)
+                lost = ", ".join(map(str, range(w, cfg.replications, k)))
+                failures.append(ReplicationError(
+                    w, f"replications {lost} (master_seed={cfg.master_seed}) were lost: "
+                    f"their worker process exited with code {proc.exitcode}",
+                ))
+            elif reply[0]:
+                results[w::k] = reply[1]
+            else:
+                chain = reply[1]
+                for exc, cause in zip(chain, chain[1:]):
+                    exc.__cause__ = cause
+                failures.append(chain[0])
+        if failures:
+            raise min(failures, key=lambda exc: getattr(exc, "index", cfg.replications))
+        return results
+
+    def close(self) -> None:
+        for conn, _ in self._workers:
+            try:
+                conn.send(None)
+            except OSError:
+                pass  # its worker is gone
+        for conn, proc in self._workers:
+            proc.join(self.STOP_TIMEOUT_S)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+            conn.close()
+
+
+def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> SimResult:
+    """Run all replications, on ``workers`` forked processes if more than one, and aggregate.
+
+    Replication i always uses the i-th seed derived from ``master_seed`` and
+    aggregation follows replication order, so the result does not depend on
+    how many processes ran the replications. They share the scenario's one
+    catalog, which no replication writes. When ``cfg`` is the cell that a
+    sweep on this thread is running, the cell runs on the sweep's pool, or
+    in this thread with entry i of the sweep's store for replication i, and
+    reads the sweep's catalog for its (file_count, alpha). Any other call
+    stores nothing, and forks its own workers for this call alone.
+    """
+    _check_workers(workers)
+    cfg.validate()
+    if getattr(_sweeping, "cell", None) is cfg:
+        store, pool, catalogs = _sweeping.store, _sweeping.pool, _sweeping.catalogs
+    else:
+        store, pool, catalogs = [None] * cfg.replications, None, {}
+    key = cfg.file_count, cfg.alpha
+    if key not in catalogs:
+        catalogs[key] = Catalog(*key)
+    catalog = catalogs[key]
+    if pool is not None:
+        results = pool.run(cfg, catalog)
+    elif (k := _pool_size(workers, cfg.replications)) > 1:
+        with _Pool(k, store) as own:
+            results = own.run(cfg, catalog)
+    else:
+        results = _run_seeds(cfg, catalog, range(cfg.replications), store)
     return SimResult(
         per_replication=tuple(r[0] for r in results),
         colors_used=tuple(r[1] for r in results),
@@ -520,11 +677,14 @@ def sweep(
     ValueError at once.
 
     Cells run in order, one ``run_scenario`` call each. The sweep keeps one
-    store that only this thread can reach, an entry per replication seed
-    that lists every cell's (policy, threshold_mode). Each stage is drawn
-    into it once per seed and per value of the axis fields it reads (see the
-    module docstring); the users stay for the whole sweep, 16 B per
-    user-round per seed. The store is dropped when the sweep ends or fails.
+    store, an entry per replication seed that lists every cell's (policy,
+    threshold_mode), and one catalog per (file_count, alpha). Each stage is
+    drawn into the store once per seed and per value of the axis fields it
+    reads (see the module docstring); the users stay for the whole sweep, 16
+    B per user-round per seed. With ``workers`` > 1 the sweep forks its
+    worker processes once, before the first cell, and each worker holds the
+    entries of its own seeds. The store and the workers are dropped when the
+    sweep ends or fails.
     """
     _check_workers(workers)
     if axis not in SWEEP_AXES:
@@ -548,15 +708,18 @@ def sweep(
             cfg_cell.validate()
             runs.append((value, label, cfg_cell))
     kinds = list(dict.fromkeys((c.policy, c.threshold_mode) for _, _, c in runs))
+    store = [{"policies": kinds} for _ in range(cfg.replications)]
+    k = _pool_size(workers, cfg.replications)
     cells = []
-    try:
-        _sweeping.store = [{"policies": kinds} for _ in range(cfg.replications)]
-        for value, label, cfg_cell in runs:
-            _sweeping.cell = cfg_cell
-            result = run_scenario(cfg_cell, workers=workers)
-            cells.append(SweepCell(axis, value, label, result, cfg.master_seed))
-    finally:
-        _sweeping.cell = _sweeping.store = None
+    with _Pool(k, store) if k > 1 else contextlib.nullcontext() as pool:
+        try:
+            _sweeping.store, _sweeping.pool, _sweeping.catalogs = store, pool, {}
+            for value, label, cfg_cell in runs:
+                _sweeping.cell = cfg_cell
+                result = run_scenario(cfg_cell, workers=workers)
+                cells.append(SweepCell(axis, value, label, result, cfg.master_seed))
+        finally:
+            _sweeping.cell = _sweeping.store = _sweeping.pool = _sweeping.catalogs = None
     return cells
 
 

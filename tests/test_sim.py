@@ -130,18 +130,17 @@ def test_parallel_replications_match_serial():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_scenario_builds_one_catalog_for_all_replications(monkeypatch, workers):
-    built = []
-
+def test_scenario_builds_one_catalog_for_all_replications(monkeypatch, process_log, workers):
+    # counted in this process and in any worker process it forks
     def counting_catalog(*args):
-        built.append(args)
+        process_log.write(repr(args))
         return Catalog(*args)
 
     monkeypatch.setattr(sim, "Catalog", counting_catalog)
     for policy in POLICIES:
-        built.clear()
+        start = len(process_log.lines())
         run_scenario(dataclasses.replace(SMALL, policy=policy), workers=workers)
-        assert built == [(SMALL.file_count, SMALL.alpha)]
+        assert process_log.lines()[start:] == [repr((SMALL.file_count, SMALL.alpha))]
 
 
 def test_policies_share_network_and_requests_per_seed():
@@ -403,10 +402,11 @@ def test_replication_errors_carry_context():
         max_matern_iterations=1, policy="matern_coloring",
         n_users=10, n_rounds=1, replications=3, master_seed=2,
     )
-    with pytest.raises(ReplicationError) as err:
-        run_scenario(cfg)
-    assert isinstance(err.value.__cause__, ConvergenceError)
-    assert "replication" in str(err.value)
+    for workers in (1, 2):
+        with pytest.raises(ReplicationError) as err:
+            run_scenario(cfg, workers=workers)
+        assert isinstance(err.value.__cause__, ConvergenceError)
+        assert "replication" in str(err.value)
 
 
 def test_sim_result_statistics():
