@@ -7,13 +7,7 @@ from .classify import (
     matern_type_i,
     matern_type_ii,
 )
-from .coloring import (
-    CapacityError,
-    Coloring,
-    exact_min_coloring,
-    greedy_color_by_degree,
-    greedy_color_by_weight,
-)
+from .coloring import Coloring, greedy_color_by_degree, greedy_color_by_weight
 from .geometry import PointSet, pairs_within, sample_binomial_disk
 from .netgraph import (
     SimpleGraph,

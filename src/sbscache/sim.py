@@ -20,7 +20,8 @@ live user-round once per color that caches one of its ranks, against the
 stations of that color alone. Each (user-round, station) pair it gives is
 scored through the placement's per-color block table. All rounds are drawn
 in one pass, one call over their streams for the ranks and one for the query
-points (the fig3 sweep on 2 threads, 2-core host: 0.52 -> 0.43 s median).
+points (the fig3 sweep, measured when the workers were 2 threads on a 2-core
+host: 0.52 -> 0.43 s median).
 
 A sweep keeps one store for its whole life, a dict of stages per seed. Each
 stage is drawn once per seed and per value of the axis fields it reads, and
@@ -58,13 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import ClassWeights, classify_and_weigh
-from .coloring import (
-    EXACT_SOLVER_LIMIT,
-    Coloring,
-    exact_min_coloring,
-    greedy_color_by_degree,
-    greedy_color_by_weight,
-)
+from .coloring import Coloring, greedy_color_by_degree, greedy_color_by_weight
 from .geometry import PointSet, sample_binomial_disk
 from .netgraph import (
     SimpleGraph,
@@ -100,7 +95,8 @@ def build_sbs_weighted_graph(sbs: PointSet) -> PointSet:
 
 POLICIES = ("baseline", "threshold_coloring", "matern_coloring")
 THRESHOLD_MODES = ("individual", "universal")
-COLORING_MODES = ("greedy", "exact")
+# one value: the key stays only because perfbench's config files name it (ROADMAP item 1a)
+COLORING_MODES = ("greedy",)
 
 SWEEP_AXES = ("n_sbs", "alpha")
 RESULT_CSV_HEADER = (
@@ -138,9 +134,8 @@ class ScenarioConfig:
 
     Coverage is either fixed (``sbs_range``, 80 m if no form is given) or drawn
     uniformly per SBS per replication from [sbs_range_min, sbs_range_max], not
-    both. ``coloring_mode="exact"`` uses the exact solver whenever ``n_sbs``
-    fits inside ``coloring.EXACT_SOLVER_LIMIT`` and falls back to the degree
-    greedy above it. ``max_matern_iterations=None`` means 10 * n_sbs.
+    both. ``coloring_mode`` has the one value "greedy": conflict graphs are
+    colored by the degree greedy, class graphs by the vertex-weight greedy.
     """
 
     cell_radius: float = 350.0
@@ -160,7 +155,6 @@ class ScenarioConfig:
     r_class: float = 80.0
     replications: int = 20
     master_seed: int = 1
-    max_matern_iterations: int | None = None
 
     def __post_init__(self):
         if self.sbs_range is None and not self.uses_range_interval():
@@ -205,8 +199,6 @@ class ScenarioConfig:
             raise ValueError(f"coloring_mode must be one of {COLORING_MODES}")
         if not self.r_class > 0:
             raise ValueError("r_class must be positive")
-        if self.max_matern_iterations is not None and self.max_matern_iterations < 1:
-            raise ValueError("max_matern_iterations must be at least 1")
 
 
 def _field_types(cls) -> dict[str, tuple[type, bool]]:
@@ -349,17 +341,12 @@ def build_policy_artifacts(
     if cfg.policy == "threshold_coloring":
         pick = individual_thresholds if cfg.threshold_mode == "individual" else universal_threshold
         graph = threshold_graph(build_sbs_weighted_graph(sbs), pick(ranges))
-        if cfg.coloring_mode == "exact" and n <= EXACT_SOLVER_LIMIT:
-            coloring = exact_min_coloring(graph)
-        else:
-            coloring = greedy_color_by_degree(graph)
+        coloring = greedy_color_by_degree(graph)
         placement = place_by_coloring(coloring, catalog, cfg.memory)
         return PolicyArtifacts(graph, coloring, None, placement)
 
     # matern_coloring
-    cw = classify_and_weigh(
-        sbs, cfg.r_class, _stream(rep_seed, 2), max_iterations=cfg.max_matern_iterations
-    )
+    cw = classify_and_weigh(sbs, cfg.r_class, _stream(rep_seed, 2))
     graph = build_class_graph(cw.classes, n)
     coloring = greedy_color_by_weight(graph, cw.weights)
     placement = place_by_coloring(coloring, catalog, cfg.memory)

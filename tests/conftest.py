@@ -1,8 +1,12 @@
 """Fixtures shared by the test modules."""
 
+import functools
 import os
 
 import pytest
+
+from sbscache import sim
+from sbscache.classify import classify_and_weigh
 
 
 class ProcessLog:
@@ -29,3 +33,15 @@ def process_log(tmp_path):
     log = ProcessLog(tmp_path / "process.log")
     yield log
     os.close(log.fd)
+
+
+@pytest.fixture
+def one_matern_iteration(monkeypatch):
+    """Cap every Matern classification at one iteration, so a pair at mid distance fails.
+
+    The simulator calls ``sim.classify_and_weigh``, and worker processes
+    forked while the test runs inherit the patch.
+    """
+    monkeypatch.setattr(
+        sim, "classify_and_weigh", functools.partial(classify_and_weigh, max_iterations=1)
+    )

@@ -11,9 +11,12 @@ over a grid of the cell instead of drawing users and requests. The
 baseline's hit rate also has a closed form, one integral over the user's
 radius of the chance that some station covers it, with no network drawn.
 The class weights' marks are the same ``random(n)`` draws from the
-production seed, so both sides see the same marks. The exception is the
-pruned clique search, which reads the exact solver's bit-packed adjacency
-(the coloring tests check it against the full subset scans).
+production seed, so both sides see the same marks. The exact minimum
+coloring, a branch-and-bound search over bit-packed adjacency rows, lives
+here too: the simulator colors only greedily, and the coloring tests check
+the solver against the exhaustive enumeration. The pruned clique search
+reads the same bit-packed rows; the coloring tests check it against the full
+subset scans.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from sbscache.coloring import EXACT_SOLVER_LIMIT, CapacityError, Coloring, _adjacency_bits
+from sbscache.coloring import Coloring
 from sbscache.geometry import PointSet
 from sbscache.netgraph import SimpleGraph
 from sbscache.popularity import Catalog
@@ -148,6 +151,109 @@ def is_proper(g: SimpleGraph, c: Coloring) -> bool:
 
 def max_degree(g: SimpleGraph) -> int:
     return int(g.degrees().max()) if g.n else 0
+
+
+# Minimum coloring is NP-hard; the exact solver and the clique oracles refuse
+# instances above this size.
+EXACT_SOLVER_LIMIT = 25
+
+
+class CapacityError(RuntimeError):
+    """Instance too large for an exact combinatorial solver."""
+
+
+def _adjacency_bits(g: SimpleGraph) -> list[int]:
+    """Row v as an int whose bit u is set iff u is a neighbour of v."""
+    ptr, nbr = g.indptr.tolist(), g.indices.tolist()
+    return [sum(1 << u for u in nbr[ptr[v] : ptr[v + 1]]) for v in range(g.n)]
+
+
+def _components(g: SimpleGraph) -> list[list[int]]:
+    ptr, nbr = g.indptr.tolist(), g.indices.tolist()
+    seen = [False] * g.n
+    comps = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        stack, comp = [start], []
+        seen[start] = True
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for u in nbr[ptr[v] : ptr[v + 1]]:
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append(u)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _greedy_clique_size(adj: list[int], order: list[int]) -> int:
+    """Cheap clique lower bound: extend greedily along the order."""
+    best = 0
+    for start in order:
+        clique = 1
+        cand = adj[start]
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            clique += 1
+            cand &= adj[v]
+        best = max(best, clique)
+    return best
+
+
+def _k_colorable(adj: list[int], order: list[int], k: int) -> list[int] | None:
+    """Backtracking k-colorability with symmetry breaking.
+
+    The first vertex is fixed to color 1 and a new color may only be opened
+    in index order, so each color class pattern is tried once. Returns the
+    per-position color assignment, or None once the search space is exhausted.
+    """
+    n = len(order)
+    assignment = [0] * n
+    class_bits = [0] * k
+
+    def solve(i: int, used: int) -> bool:
+        if i == n:
+            return True
+        v = order[i]
+        bit = 1 << v
+        for c in range(min(used + 1, k)):
+            if adj[v] & class_bits[c] == 0:
+                class_bits[c] |= bit
+                assignment[i] = c + 1
+                if solve(i + 1, max(used, c + 1)):
+                    return True
+                class_bits[c] &= ~bit
+        return False
+
+    return assignment if solve(0, 0) else None
+
+
+def exact_min_coloring(g: SimpleGraph) -> Coloring:
+    """A proper coloring with the minimum possible number of colors.
+
+    Branch-and-bound backtracking over color classes, run per connected
+    component: k-colorability is searched upward from a greedy-clique lower
+    bound, so the returned k is certified optimal by the exhausted search at
+    k - 1 (or by the clique when it already meets k). Raises CapacityError
+    above ``EXACT_SOLVER_LIMIT`` vertices.
+    """
+    if g.n > EXACT_SOLVER_LIMIT:
+        raise CapacityError(f"exact solver limited to {EXACT_SOLVER_LIMIT} vertices, got {g.n}")
+    colors = np.zeros(g.n, dtype=int)
+    adj = _adjacency_bits(g)
+    deg = g.degrees()
+    for comp in _components(g):
+        order = sorted(comp, key=lambda v: (-int(deg[v]), v))
+        lb = max(1, _greedy_clique_size(adj, order))
+        for k in range(lb, len(comp) + 1):
+            assignment = _k_colorable(adj, order, k)
+            if assignment is not None:
+                for pos, v in enumerate(order):
+                    colors[v] = assignment[pos]
+                break
+    return Coloring(colors)
 
 
 def clique_number(g: SimpleGraph, limit: int = EXACT_SOLVER_LIMIT) -> int:

@@ -15,11 +15,7 @@ import numpy as np
 import pytest
 
 from sbscache.cli import main
-from sbscache.coloring import (
-    exact_min_coloring,
-    greedy_color_by_degree,
-    greedy_color_by_weight,
-)
+from sbscache.coloring import greedy_color_by_degree, greedy_color_by_weight
 from sbscache.classify import matern_type_i, matern_type_ii
 from sbscache.geometry import pairs_within, sample_binomial_disk
 from sbscache.netgraph import SimpleGraph, threshold_graph
@@ -37,6 +33,7 @@ from sbscache.sim import (
 from oracles import (
     chromatic_number_enumeration,
     clique_number,
+    exact_min_coloring,
     expected_hit_oracle,
     independence_number,
     is_proper,

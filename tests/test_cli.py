@@ -113,10 +113,7 @@ def test_config_round_trip():
 
 
 def test_config_round_trip_with_interval():
-    cfg = ScenarioConfig(
-        n_sbs=6, sbs_range=None, sbs_range_min=50.0, sbs_range_max=100.0,
-        max_matern_iterations=17,
-    )
+    cfg = ScenarioConfig(n_sbs=6, sbs_range=None, sbs_range_min=50.0, sbs_range_max=100.0)
     assert parse_config_text(config_to_text(cfg)) == cfg
 
 
@@ -533,7 +530,6 @@ VALID_VALUES = {
     "r_class": st.floats(0.0, 1e6, exclude_min=True),
     "replications": st.integers(1, 10**6),
     "master_seed": st.integers(0, 2**63),
-    "max_matern_iterations": st.none() | st.integers(1, 10**6),
 }
 RANGE_FORMS = (("sbs_range",), ("sbs_range_min", "sbs_range_max"))
 RANGE_VALUES = {
@@ -544,7 +540,6 @@ RANGE_VALUES = {
 # The text of a valid value, as a file line or a flag gives it.
 VALID_TEXT = {key: values.map(str) for key, values in {**VALID_VALUES, **RANGE_VALUES}.items()}
 VALID_TEXT["policy"] = st.sampled_from(sorted(cli._POLICY_ALIASES))
-VALID_TEXT["max_matern_iterations"] = st.integers(1, 10**6).map(str)
 # Any subset of the keys, each with the text of a valid value. The range keys
 # are drawn as a whole: neither form, one, both, or half the interval.
 RANGE_KEYS = st.sampled_from([(), *RANGE_FORMS, sum(RANGE_FORMS, ()), ("sbs_range_max",)])
@@ -634,7 +629,6 @@ OUT_OF_RANGE = {
     "r_class": NOT_POSITIVE,
     "replications": st.integers(max_value=0),
     "master_seed": st.integers(max_value=-1),
-    "max_matern_iterations": st.integers(max_value=0),
 }
 # Texts that are not a value of a numeric key's type.
 NOT_A_VALUE = {
@@ -670,15 +664,33 @@ def test_digit_separators_and_non_ascii_digits_are_bad_values(tmp_path, capsys, 
     _assert_rejected_everywhere(tmp_path, capsys, monkeypatch, key, raw)
 
 
+# the simulator colors only greedily, and the Matern budget is not a config key
+@pytest.mark.parametrize("key,line,flags", [
+    ("coloring_mode", "coloring_mode = exact\n", []),
+    ("coloring_mode", "", ["--coloring_mode", "exact"]),
+    ("max_matern_iterations", "max_matern_iterations = 3\n", []),
+], ids=["coloring_mode-file", "coloring_mode-flag", "max_matern_iterations-file"])
+def test_exact_coloring_and_the_budget_key_are_exit_2(
+    tmp_path, capsys, monkeypatch, key, line, flags
+):
+    _assert_exit_2_naming_the_key(tmp_path, capsys, monkeypatch, key, [(BASE_CONFIG + line, flags)])
+
+
 def _assert_rejected_everywhere(tmp_path, capsys, monkeypatch, key, raw):
     """``raw`` for ``key``, in a file and in a flag, exits 2 naming the key under every command."""
+    base = INTERVAL_CONFIG if key in RANGE_FORMS[1] else BASE_CONFIG
+    kept = "".join(line for line in base.splitlines(True) if line.split(" =")[0] != key)
+    inputs = [(f"{kept}{key} = {raw}\n", []), (base, [f"--{key}={raw}"])]
+    _assert_exit_2_naming_the_key(tmp_path, capsys, monkeypatch, key, inputs)
+
+
+def _assert_exit_2_naming_the_key(tmp_path, capsys, monkeypatch, key, inputs):
+    """Each (file text, flags) of ``inputs`` exits 2 naming ``key`` under every command, running nothing."""
     ran = []
     monkeypatch.setattr(sim, "run_scenario", lambda cfg, workers=1: ran.append(cfg))
     monkeypatch.setattr(sim, "build_network", lambda cfg, seed: ran.append(cfg))
-    base = INTERVAL_CONFIG if key in RANGE_FORMS[1] else BASE_CONFIG
-    kept = "".join(line for line in base.splitlines(True) if line.split(" =")[0] != key)
     path, out = tmp_path / "scenario.cfg", tmp_path / "out.csv"
-    for text, flags in ((f"{kept}{key} = {raw}\n", []), (base, [f"--{key}={raw}"])):
+    for text, flags in inputs:
         path.write_text(text, encoding="utf-8")
         for command in ("run", "sweep", "inspect"):
             assert main([*_command_args(command, str(path), str(out), key), *flags]) == 2

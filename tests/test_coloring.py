@@ -8,19 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbscache.coloring import (
-    EXACT_SOLVER_LIMIT,
-    CapacityError,
     Coloring,
     coloring_to_csv,
-    exact_min_coloring,
     greedy_color_by_degree,
     greedy_color_by_weight,
 )
 from oracles import (
+    EXACT_SOLVER_LIMIT,
+    CapacityError,
     chromatic_number_enumeration,
     clique_number,
     clique_number_enumeration,
     dense_adjacency,
+    exact_min_coloring,
     graph_from_edges,
     graph_from_matrix,
     independence_number,

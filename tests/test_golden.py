@@ -26,8 +26,8 @@ INTERVAL = {"sbs_range": None, "sbs_range_min": 50.0, "sbs_range_max": 100.0}
 # 30 stations packed in a 150 m cell need more than 3 colors, so with
 # M = 20 over 60 files the color blocks run past the catalog and wrap.
 WRAP = {"n_sbs": 30, "cell_radius": 150.0, "file_count": 60, "memory": 20}
-# Dense enough that the degree greedy needs more colors than the exact
-# solver on the first replication, the one ``inspect`` shows.
+# Dense enough that the degree greedy needs 7 colors on the first
+# replication, the one ``inspect`` shows, where a minimum coloring needs 6.
 DENSE = {"n_sbs": 18, "cell_radius": 120.0, "master_seed": 7}
 
 CASES = {
@@ -38,7 +38,6 @@ CASES = {
     },
     "threshold_individual_interval": {"policy": "threshold_coloring", **INTERVAL},
     "threshold_greedy_dense": {"policy": "threshold_coloring", **DENSE},
-    "threshold_exact_dense": {"policy": "threshold_coloring", "coloring_mode": "exact", **DENSE},
     "matern_double": {"policy": "matern_coloring", "r_class": 60.0},
     "requests_per_round_3": {"policy": "matern_coloring", "requests_per_round": 3},
     "wrap_threshold": {"policy": "threshold_coloring", **WRAP},
@@ -59,7 +58,6 @@ SWEEPS = {
 INSPECTS = {
     "threshold_individual": ("graph", "coloring", "placement"),
     "threshold_greedy_dense": ("coloring",),
-    "threshold_exact_dense": ("graph", "coloring", "placement"),
     "matern_double": ("graph", "coloring", "placement", "classes"),
     "baseline": ("placement",),
     "wrap_threshold": ("coloring", "placement"),
@@ -115,10 +113,6 @@ GOLDEN_REPLICATIONS = {
         ['0x1.638e38e38e38ep-1', '0x1.349f49f49f49fp-1', '0x1.4fa4fa4fa4fa5p-1', '0x1.4444444444444p-1'],
         [7, 7, 6, 5],
     ),
-    'threshold_exact_dense': (
-        ['0x1.6666666666666p-1', '0x1.349f49f49f49fp-1', '0x1.4fa4fa4fa4fa5p-1', '0x1.4444444444444p-1'],
-        [6, 7, 6, 5],
-    ),
     'matern_double': (
         ['0x1.6666666666666p-3', '0x1.6c16c16c16c17p-3', '0x1.999999999999ap-3', '0x1.4fa4fa4fa4fa5p-3'],
         [2, 2, 2, 2],
@@ -163,9 +157,6 @@ GOLDEN_INSPECTS = {
     ('threshold_individual', 'coloring'): '5dd1aff02bd29d6f10b35ca4f6f90bd028f06a54f1cd172b25e30f4c5bce1405',
     ('threshold_individual', 'placement'): '1b95255678b56b27f1cd53ab5dc52202d28c4d6fec2f974fae12a79625658d58',
     ('threshold_greedy_dense', 'coloring'): '54055caed3ae6bd69f56cc194f9ca24ce54bee53c2828675905a5f407531d78e',
-    ('threshold_exact_dense', 'graph'): 'd9ab7b7e4e7542d3c7d6be9dae8f3b0690998e9c9e2484d3b85f6d8edc5007ac',
-    ('threshold_exact_dense', 'coloring'): '27678f0f01d31360e71ffa05332fe59360b05e6c2f1f190b83ac396fcb029c38',
-    ('threshold_exact_dense', 'placement'): '71c58449c14f9ea18e0a292756a4dcf710392d8952a71f1350d3c9fe9e07a39c',
     ('matern_double', 'graph'): '530530daee2fc669281efbb8b3af2b188368ac1ab4d4c660a53d3742a286e0e3',
     ('matern_double', 'coloring'): '7adc79dd956ad0abf93fa8aff8623e309f9e5f38f08b062bfbed56d68f0a5f48',
     ('matern_double', 'placement'): '33c769ec4ee2cc18c01135e71b95dccb2e0b5d6d858b6bdf92f6c8d08a6f945a',

@@ -30,7 +30,6 @@ from sbscache.netgraph import (
 )
 from sbscache.popularity import Catalog
 from sbscache.sim import (
-    COLORING_MODES,
     POLICIES,
     THRESHOLD_MODES,
     ScenarioConfig,
@@ -63,7 +62,6 @@ def configs(draw):
         n_rounds=draw(st.integers(1, 3)),
         requests_per_round=draw(st.integers(1, 3)),
         threshold_mode=draw(st.sampled_from(THRESHOLD_MODES)),
-        coloring_mode=draw(st.sampled_from(COLORING_MODES)),
         r_class=draw(st.floats(10.0, 150.0)),
         replications=draw(st.integers(1, 3)),
         master_seed=draw(SEEDS),

@@ -43,11 +43,11 @@ SMALL = ScenarioConfig(
     file_count=200, memory=20,
 )
 # threshold modes differ only in the placement, over interval ranges, with
-# the exact solver and several requests per user
+# several requests per user
 CUSTOM = (
     dataclasses.replace(
         SMALL, cell_radius=150.0, sbs_range=None, sbs_range_min=40.0, sbs_range_max=90.0,
-        coloring_mode="exact", requests_per_round=3, replications=3,
+        requests_per_round=3, replications=3,
     ),
     "n_sbs", [0, 9, 16], ["baseline", "threshold_individual", "threshold_universal"],
 )
@@ -71,10 +71,10 @@ TOKENS = (
 )
 CASES = {"custom": CUSTOM, "wrap": WRAP, "tokens": TOKENS}
 
-# a mid-distance pair cannot converge in one Matern iteration, which fails
-# replication 2 of the Matern placement
+# a mid-distance pair cannot converge in one Matern iteration, so under the
+# ``one_matern_iteration`` fixture replication 2 of the Matern placement fails
 DENSE = ScenarioConfig(
-    n_sbs=2, cell_radius=30.0, sbs_range=80.0, r_class=25.0, max_matern_iterations=1,
+    n_sbs=2, cell_radius=30.0, sbs_range=80.0, r_class=25.0,
     n_users=10, n_rounds=1, replications=3, master_seed=2,
 )
 
@@ -146,7 +146,7 @@ def test_store_is_dropped_after_a_sweep_and_runs_stay_fresh():
     assert run_scenario(SMALL) == before
 
 
-def test_store_is_dropped_after_a_failed_sweep():
+def test_store_is_dropped_after_a_failed_sweep(one_matern_iteration):
     before = run_scenario(DENSE)
     for workers in (1, 2):
         # the baseline cell builds the Matern placement, and the error names it
@@ -286,7 +286,7 @@ def _chain(exc):
     return out
 
 
-def test_worker_errors_arrive_as_on_one_worker(monkeypatch):
+def test_worker_errors_arrive_as_on_one_worker(monkeypatch, one_matern_iteration):
     # the sweep succeeds without the Matern cell; with it, the sweep and a
     # run outside a sweep raise the same error, cause chain and index on 1
     # and 2 workers

@@ -395,11 +395,10 @@ def test_replication_error_survives_pickle_and_copy(clone):
     assert str(back) == str(err) == "replication 4 (master_seed=1) failed: boom"
 
 
-def test_replication_errors_carry_context():
+def test_replication_errors_carry_context(one_matern_iteration):
     # a mid-distance pair cannot converge in one iteration
     cfg = ScenarioConfig(
-        n_sbs=2, cell_radius=30.0, sbs_range=80.0, r_class=25.0,
-        max_matern_iterations=1, policy="matern_coloring",
+        n_sbs=2, cell_radius=30.0, sbs_range=80.0, r_class=25.0, policy="matern_coloring",
         n_users=10, n_rounds=1, replications=3, master_seed=2,
     )
     for workers in (1, 2):
